@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <unordered_set>
@@ -320,58 +318,6 @@ bool FastIndex::apply_erase(std::uint64_t id) {
   signatures_.erase(it);
   publish_storage_gauges();
   return true;
-}
-
-namespace {
-constexpr char kMagic[8] = {'F', 'A', 'S', 'T', 'i', 'd', 'x', '1'};
-}
-
-void FastIndex::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("FastIndex::save: cannot open " + path);
-  out.write(kMagic, sizeof(kMagic));
-  const auto bloom_bits = static_cast<std::uint64_t>(config_.bloom_bits);
-  const auto count = static_cast<std::uint64_t>(signatures_.size());
-  out.write(reinterpret_cast<const char*>(&bloom_bits), sizeof(bloom_bits));
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const auto& [id, sig] : signatures_) {
-    const std::vector<std::uint8_t> encoded = sig.encode();
-    const auto len = static_cast<std::uint32_t>(encoded.size());
-    out.write(reinterpret_cast<const char*>(&id), sizeof(id));
-    out.write(reinterpret_cast<const char*>(&len), sizeof(len));
-    out.write(reinterpret_cast<const char*>(encoded.data()), len);
-  }
-  if (!out) throw std::runtime_error("FastIndex::save: write failed");
-}
-
-FastIndex FastIndex::load(const std::string& path, FastConfig config,
-                          vision::PcaModel pca) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("FastIndex::load: cannot open " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("FastIndex::load: bad magic");
-  }
-  std::uint64_t bloom_bits = 0, count = 0;
-  in.read(reinterpret_cast<char*>(&bloom_bits), sizeof(bloom_bits));
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || bloom_bits != config.bloom_bits) {
-    throw std::runtime_error(
-        "FastIndex::load: bloom geometry mismatch or truncated header");
-  }
-  FastIndex index(std::move(config), std::move(pca));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t id = 0;
-    std::uint32_t len = 0;
-    in.read(reinterpret_cast<char*>(&id), sizeof(id));
-    in.read(reinterpret_cast<char*>(&len), sizeof(len));
-    std::vector<std::uint8_t> buffer(len);
-    in.read(reinterpret_cast<char*>(buffer.data()), len);
-    if (!in) throw std::runtime_error("FastIndex::load: truncated record");
-    index.insert_signature(id, hash::SparseSignature::decode(buffer));
-  }
-  return index;
 }
 
 // --- Durability: snapshot + WAL ------------------------------------------

@@ -22,7 +22,7 @@
 //
 // Batch-first execution: insert_batch/query_batch fan the expensive FE+SM
 // stage across a util::ThreadPool before touching index state, so the
-// placement phase (and, in the concurrent facade, the writer lock) runs
+// placement phase (and, in the locking flat backend, the writer lock) runs
 // once over precomputed signatures.
 #pragma once
 
@@ -90,8 +90,8 @@ class FastIndex {
 
   /// Simulated frontend cost every image-ingest path must charge on top of
   /// insert_signature: feature extraction plus the k Bloom hash ops per
-  /// descriptor group. Factored out so the concurrent and sharded
-  /// frontends account identically to insert() (they used to drop it).
+  /// descriptor group. Factored out so the flat backend and the sharded
+  /// frontend account identically to insert() (they used to drop it).
   sim::SimClock frontend_insert_cost() const noexcept;
 
   /// Tunes the LSH input scale from sample queries against a corpus sample
@@ -125,19 +125,6 @@ class FastIndex {
   /// group it joined and its signature is dropped (photo-retention expiry
   /// in the cloud deployment). Returns false when the id is unknown.
   bool erase(std::uint64_t id);
-
-  // --- Persistence ---
-
-  /// Writes the index state (all signatures, varint-encoded) to `path`.
-  /// Hash-table state is not persisted — it is rebuilt deterministically
-  /// on load, which keeps the on-disk format at the paper's ~bytes/image.
-  /// Throws std::runtime_error on I/O failure.
-  void save(const std::string& path) const;
-
-  /// Restores an index saved by save() into a fresh instance. The config
-  /// must describe the same summary geometry (bloom_bits is verified).
-  static FastIndex load(const std::string& path, FastConfig config,
-                        vision::PcaModel pca);
 
   // --- Durability (snapshot + WAL; see core/durability.hpp) ---
 
@@ -183,7 +170,7 @@ class FastIndex {
 
   /// query() minus summarization: costs for a query whose signature was
   /// just extracted from an image (FE charge + Bloom hash ops + parallel FE
-  /// task chunks). Public so the concurrent frontend charges queries
+  /// task chunks). Public so the flat backend charges queries
   /// identically to query() after summarizing outside its lock.
   QueryResult query_summarized(const hash::SparseSignature& signature,
                                std::size_t k) const;
@@ -198,8 +185,8 @@ class FastIndex {
   const hash::SparseSignature* signature_of(std::uint64_t id) const;
 
   /// Visits every resident (id, signature) pair in unspecified order.
-  /// Used by the sharded facade to rebuild its routing summaries after
-  /// recovery; not a hot path.
+  /// The flat backend's for_each_live_signature (shard routing rebuilds);
+  /// not a hot path.
   template <typename Fn>
   void for_each_signature(Fn&& fn) const {
     for (const auto& [id, sig] : signatures_) fn(id, sig);
@@ -214,7 +201,7 @@ class FastIndex {
   /// Per-stage observability: FE/SM timing, SA key derivation, CHS probe
   /// distributions and occupancy accumulate here (metric names in
   /// DESIGN.md §3b). Thread-safe to read and update concurrently; shared
-  /// with the concurrent/sharded frontends wrapping this index.
+  /// with the flat backend and sharded frontend wrapping this index.
   util::MetricsRegistry& metrics() const noexcept { return *metrics_; }
 
   /// Total bytes of the in-memory index: sparse signatures + storage slots +
@@ -227,7 +214,7 @@ class FastIndex {
 
  private:
   /// Cached instrument pointers so hot paths (queries racing through the
-  /// concurrent facade's shared lock) update metrics with relaxed atomic
+  /// flat backend's shared lock) update metrics with relaxed atomic
   /// increments only — never the registry mutex.
   struct StageMetrics {
     util::Counter* fe_sm_images = nullptr;

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "core/fast_index.hpp"
-#include "core/tiered_index.hpp"
+#include "core/index_backend.hpp"
 #include "hash/counting_bloom.hpp"
 #include "storage/shard.hpp"
 #include "util/metrics.hpp"
@@ -36,7 +36,7 @@ namespace fast::core {
 
 class ShardedFastIndex {
  public:
-  /// `shards` independent partitions (flat or tiered per
+  /// `shards` independent partitions (make_backend: flat or tiered per
   /// config.tier.enabled); `threads` native workers for parallel shard
   /// probing (0 = hardware concurrency).
   ShardedFastIndex(FastConfig config, vision::PcaModel pca,
@@ -60,7 +60,6 @@ class ShardedFastIndex {
   std::size_t shard_count() const noexcept { return shard_map_.shard_count(); }
   std::size_t size() const noexcept;
   const FastConfig& config() const noexcept { return config_; }
-  bool is_tiered() const noexcept { return !tiered_shards_.empty(); }
 
   /// Shard that owns an image id.
   std::size_t shard_of(std::uint64_t id) const noexcept {
@@ -97,17 +96,8 @@ class ShardedFastIndex {
   /// Sum of all shards' in-memory index bytes.
   std::size_t index_bytes() const;
 
-  /// Access to a flat shard's local index (tests, rebalancing tooling).
-  /// Only valid when !is_tiered().
-  const FastIndex& shard(std::size_t i) const {
-    FAST_CHECK_MSG(!is_tiered(), "shard() on a tiered deployment");
-    return *shards_.at(i);
-  }
-  /// Access to a tiered shard's local index. Only valid when is_tiered().
-  const TieredIndex& tiered_shard(std::size_t i) const {
-    FAST_CHECK_MSG(is_tiered(), "tiered_shard() on a flat deployment");
-    return *tiered_shards_.at(i);
-  }
+  /// A shard's local index (tests, rebalancing tooling).
+  const IndexBackend& shard(std::size_t i) const { return *shards_.at(i); }
 
   /// Scatter/gather and fan-out observability for the distributed frontend
   /// (per-shard stage metrics live in each shard's own registry).
@@ -119,11 +109,9 @@ class ShardedFastIndex {
 
  private:
   /// Assembles the facade around pre-built shard indexes (the durable path
-  /// recovers each shard before construction). Exactly one of the two
-  /// vectors is non-empty.
+  /// recovers each shard before construction).
   ShardedFastIndex(FastConfig config,
-                   std::vector<std::unique_ptr<FastIndex>> shards,
-                   std::vector<std::unique_ptr<TieredIndex>> tiered_shards,
+                   std::vector<std::unique_ptr<IndexBackend>> shards,
                    std::size_t threads);
 
   QueryResult gather(std::vector<QueryResult> per_shard, std::size_t k,
@@ -147,27 +135,14 @@ class ShardedFastIndex {
   /// contract as shard writes).
   void routing_replace(std::size_t s, std::uint64_t id,
                        const hash::SparseSignature& signature);
-  /// The id's currently-live signature in shard `s` (copy), if any.
-  std::optional<hash::SparseSignature> shard_signature(std::size_t s,
-                                                       std::uint64_t id) const;
   /// Repopulates every summary from its shard's resident signatures.
   /// Summaries are derived state: recovery rebuilds them instead of
   /// persisting them, so they can never be stale relative to the WAL tail.
   void rebuild_routing_summaries();
 
-  // Shard-local dispatch (flat vs tiered) for the scatter/gather plumbing.
-  hash::SparseSignature summarize_front(const img::Image& image) const;
-  sim::SimClock frontend_cost() const;
-  InsertResult shard_insert_signature(std::size_t s, std::uint64_t id,
-                                      const hash::SparseSignature& signature);
-  QueryResult shard_query_signature(std::size_t s,
-                                    const hash::SparseSignature& signature,
-                                    std::size_t k) const;
-
   FastConfig config_;
   storage::ShardMap shard_map_;
-  std::vector<std::unique_ptr<FastIndex>> shards_;
-  std::vector<std::unique_ptr<TieredIndex>> tiered_shards_;
+  std::vector<std::unique_ptr<IndexBackend>> shards_;
   mutable util::ThreadPool pool_;
   std::shared_ptr<util::MetricsRegistry> metrics_;
   /// Coordinator-side key derivation for routing: shards differ only in

@@ -337,6 +337,16 @@ std::vector<InsertResult> TieredIndex::insert_batch(
   return results;
 }
 
+std::vector<InsertResult> TieredIndex::insert_batch(
+    std::span<const EngineWrite> items) {
+  std::vector<InsertResult> results;
+  results.reserve(items.size());
+  for (const EngineWrite& item : items) {
+    results.push_back(insert_signature(item.id, item.signature));
+  }
+  return results;
+}
+
 bool TieredIndex::erase(std::uint64_t id) {
   return erase_internal(id, /*log=*/true);
 }

@@ -45,6 +45,7 @@
 
 #include "core/config.hpp"
 #include "core/durability.hpp"
+#include "core/index_backend.hpp"
 #include "core/memtable_index.hpp"
 #include "core/pipeline/semantic_aggregator.hpp"
 #include "core/pipeline/summarizer.hpp"
@@ -66,15 +67,13 @@ class Histogram;
 
 namespace fast::core {
 
-struct BatchImage;
-
-class TieredIndex {
+class TieredIndex final : public IndexBackend {
  public:
   /// Newest-first; immutable once published (replaced wholesale).
   using SegmentList = std::vector<std::shared_ptr<const ImmutableSegment>>;
 
   TieredIndex(FastConfig config, vision::PcaModel pca);
-  ~TieredIndex();
+  ~TieredIndex() override;
 
   TieredIndex(const TieredIndex&) = delete;
   TieredIndex& operator=(const TieredIndex&) = delete;
@@ -87,52 +86,59 @@ class TieredIndex {
       FastConfig config, vision::PcaModel pca, const DurabilityOptions& opts,
       RecoveryStats* stats = nullptr);
 
-  const FastConfig& config() const noexcept { return config_; }
+  const FastConfig& config() const noexcept override { return config_; }
   /// Live images (inserted and not erased), across all layers.
-  std::size_t size() const noexcept {
+  std::size_t size() const noexcept override {
     return live_.load(std::memory_order_relaxed);
   }
   std::size_t lane_count() const noexcept { return lanes_.size(); }
   std::size_t segment_count() const;
   /// Tombstones still pending compaction (memtables + segments).
   std::size_t tombstone_count() const;
-  std::size_t index_bytes() const;
-  util::MetricsRegistry& metrics() const noexcept { return *metrics_; }
+  std::size_t index_bytes() const override;
+  util::MetricsRegistry& metrics() const noexcept override {
+    return *metrics_;
+  }
 
-  bool durable() const noexcept { return wal_ != nullptr; }
+  bool durable() const noexcept override { return wal_ != nullptr; }
   std::uint64_t last_seq() const;
 
   // --- FE + SM (identical to FastIndex) ---
-  hash::SparseSignature summarize(const img::Image& image) const;
-  sim::SimClock frontend_insert_cost() const noexcept;
+  hash::SparseSignature summarize(const img::Image& image) const override;
+  sim::SimClock frontend_insert_cost() const noexcept override;
   void calibrate_scale(std::span<const hash::SparseSignature> sample_queries,
                        std::span<const hash::SparseSignature> corpus_sample,
                        util::ThreadPool* pool = nullptr);
 
   // --- Mutations ---
-  InsertResult insert(std::uint64_t id, const img::Image& image);
-  InsertResult insert_signature(std::uint64_t id,
-                                const hash::SparseSignature& signature);
+  InsertResult insert(std::uint64_t id, const img::Image& image) override;
+  InsertResult insert_signature(
+      std::uint64_t id, const hash::SparseSignature& signature) override;
   /// FE+SM fans across `pool`; placement runs in item order.
-  std::vector<InsertResult> insert_batch(std::span<const BatchImage> items,
-                                         util::ThreadPool* pool = nullptr);
-  bool erase(std::uint64_t id);
+  std::vector<InsertResult> insert_batch(
+      std::span<const BatchImage> items,
+      util::ThreadPool* pool = nullptr) override;
+  /// Per-lane locking only: batches from different threads interleave.
+  std::vector<InsertResult> insert_batch(
+      std::span<const EngineWrite> items) override;
+  bool erase(std::uint64_t id) override;
   /// Erases each id (skipping unknowns); returns the number erased.
-  std::size_t erase_batch(std::span<const std::uint64_t> ids);
+  std::size_t erase_batch(std::span<const std::uint64_t> ids) override;
 
   // --- Queries ---
-  QueryResult query(const img::Image& image, std::size_t k) const;
+  QueryResult query(const img::Image& image, std::size_t k) const override;
   QueryResult query_signature(const hash::SparseSignature& signature,
-                              std::size_t k) const;
+                              std::size_t k) const override;
   QueryResult query_summarized(const hash::SparseSignature& signature,
                                std::size_t k) const;
   std::vector<QueryResult> query_batch(
       std::span<const img::Image* const> images, std::size_t k,
-      util::ThreadPool* pool = nullptr) const;
+      util::ThreadPool* pool = nullptr) const override;
 
   /// Stored signature of a live id (copy: the owning layer may be compacted
   /// away at any time); nullopt when absent or tombstoned.
-  std::optional<hash::SparseSignature> find_signature(std::uint64_t id) const;
+  std::optional<hash::SparseSignature> find_signature(
+      std::uint64_t id) const override;
 
   /// Visits every live (id, signature) pair across all layers, honoring
   /// shadowing (the newest layer mentioning an id owns it, same rule as
@@ -140,13 +146,13 @@ class TieredIndex {
   /// summaries after recovery; not a hot path.
   void for_each_live_signature(
       const std::function<void(std::uint64_t, const hash::SparseSignature&)>&
-          fn) const;
+          fn) const override;
 
   // --- Durability ---
-  storage::Status save_snapshot();
+  storage::Status save_snapshot() override;
   /// Forces an fsync of WAL records buffered by wal_sync_every > 1 (see
   /// FastIndex::sync_wal). No-op when already synced or non-durable.
-  storage::Status sync_wal();
+  storage::Status sync_wal() override;
 
   // --- Maintenance (tests / benches) ---
   /// Seals every non-empty memtable regardless of threshold.

@@ -1,6 +1,7 @@
-// Concurrency tests: queries racing inserts/erases through the
-// ConcurrentFastIndex facade must never crash, lose acknowledged inserts,
-// or return ids that were never inserted.
+// Concurrency tests: queries racing inserts/erases through an IndexBackend
+// must never crash, lose acknowledged inserts, or return ids that were
+// never inserted. Every test except the two writer-lock tests runs once
+// per backend make_backend builds (flat, then tiered).
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -8,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
-#include "core/concurrent_index.hpp"
+#include "core/fast_index.hpp"
+#include "core/index_backend.hpp"
+#include "core/tiered_index.hpp"
 #include "test_helpers.hpp"
+#include "util/metrics.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fast::core {
 namespace {
@@ -26,10 +31,51 @@ class ConcurrentTest : public ::testing::Test {
     dataset_ = nullptr;
     pca_ = nullptr;
   }
-  static FastConfig small_config() {
+  static FastConfig flat_config() {
     FastConfig cfg;
     cfg.cuckoo.capacity = 256;
     return cfg;
+  }
+  /// Small seal threshold so the races cross seals and merges; background
+  /// off so those run inline on the writers and costs stay deterministic.
+  static FastConfig tiered_config() {
+    FastConfig cfg = flat_config();
+    cfg.tier.enabled = true;
+    cfg.tier.seal_threshold = 8;
+    cfg.tier.lanes = 2;
+    cfg.tier.compact_fanin = 2;
+    cfg.tier.compact_trigger = 2;
+    cfg.tier.background = false;
+    return cfg;
+  }
+  static std::vector<FastConfig> backend_configs() {
+    return {flat_config(), tiered_config()};
+  }
+  static const char* backend_name(const FastConfig& cfg) {
+    return cfg.tier.enabled ? "tiered" : "flat";
+  }
+  /// Runs fn(plain) over an unwrapped index of the same kind as `cfg`: the
+  /// costs a backend built by make_backend must charge.
+  template <typename Fn>
+  static void with_plain(const FastConfig& cfg, Fn&& fn) {
+    if (cfg.tier.enabled) {
+      TieredIndex plain(cfg, *pca_);
+      fn(plain);
+    } else {
+      FastIndex plain(cfg, *pca_);
+      fn(plain);
+    }
+  }
+  static std::vector<hash::SparseSignature> signatures() {
+    FastIndex helper(flat_config(), *pca_);
+    std::vector<hash::SparseSignature> sigs;
+    for (const auto& photo : dataset_->photos) {
+      sigs.push_back(helper.summarize(photo.image));
+    }
+    return sigs;
+  }
+  static std::uint64_t writer_locks(const IndexBackend& backend) {
+    return backend.metrics().snapshot().counters.at("concurrent.writer_locks");
   }
   static workload::Dataset* dataset_;
   static vision::PcaModel* pca_;
@@ -39,269 +85,289 @@ workload::Dataset* ConcurrentTest::dataset_ = nullptr;
 vision::PcaModel* ConcurrentTest::pca_ = nullptr;
 
 TEST_F(ConcurrentTest, SerialSemanticsMatchFastIndex) {
-  ConcurrentFastIndex concurrent(small_config(), *pca_);
-  FastIndex plain(small_config(), *pca_);
-  std::vector<hash::SparseSignature> sigs;
-  for (std::size_t i = 0; i < 16; ++i) {
-    sigs.push_back(plain.summarize(dataset_->photos[i].image));
-    concurrent.insert_signature(i, sigs.back());
-    plain.insert_signature(i, sigs.back());
-  }
-  EXPECT_EQ(concurrent.size(), plain.size());
-  for (std::size_t i = 0; i < 16; ++i) {
-    const QueryResult a = concurrent.query_signature(sigs[i], 3);
-    const QueryResult b = plain.query_signature(sigs[i], 3);
-    ASSERT_EQ(a.hits.size(), b.hits.size());
-    for (std::size_t h = 0; h < a.hits.size(); ++h) {
-      EXPECT_EQ(a.hits[h].id, b.hits[h].id);
+  for (const FastConfig& cfg : backend_configs()) {
+    SCOPED_TRACE(backend_name(cfg));
+    const auto backend = make_backend(cfg, *pca_);
+    FastIndex plain(flat_config(), *pca_);
+    const std::vector<hash::SparseSignature> sigs = signatures();
+    for (std::size_t i = 0; i < 16; ++i) {
+      backend->insert_signature(i, sigs[i]);
+      plain.insert_signature(i, sigs[i]);
+    }
+    EXPECT_EQ(backend->size(), plain.size());
+    for (std::size_t i = 0; i < 16; ++i) {
+      const QueryResult a = backend->query_signature(sigs[i], 3);
+      const QueryResult b = plain.query_signature(sigs[i], 3);
+      ASSERT_EQ(a.hits.size(), b.hits.size());
+      for (std::size_t h = 0; h < a.hits.size(); ++h) {
+        EXPECT_EQ(a.hits[h].id, b.hits[h].id);
+      }
     }
   }
 }
 
 TEST_F(ConcurrentTest, QueriesRaceInsertsWithoutLosses) {
-  ConcurrentFastIndex index(small_config(), *pca_);
-  // Precompute signatures so worker threads exercise the locked paths hard.
-  std::vector<hash::SparseSignature> sigs;
-  FastIndex helper(small_config(), *pca_);
-  for (const auto& photo : dataset_->photos) {
-    sigs.push_back(helper.summarize(photo.image));
-  }
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::size_t> bad_hits{0};
+  // Precomputed signatures so worker threads exercise the locked paths hard.
+  const std::vector<hash::SparseSignature> sigs = signatures();
   const std::size_t n = sigs.size();
+  for (const FastConfig& cfg : backend_configs()) {
+    SCOPED_TRACE(backend_name(cfg));
+    const auto index = make_backend(cfg, *pca_);
+    std::atomic<bool> stop{false};
+    std::atomic<std::size_t> bad_hits{0};
 
-  std::thread writer([&] {
-    for (std::size_t round = 0; round < 20; ++round) {
-      for (std::size_t i = 0; i < n; ++i) {
-        index.insert_signature(round * n + i, sigs[i]);
-      }
-      // Erase half of this round's ids again.
-      for (std::size_t i = 0; i < n / 2; ++i) {
-        index.erase(round * n + i);
-      }
-    }
-    stop = true;
-  });
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&, r] {
-      std::size_t qi = static_cast<std::size_t>(r);
-      while (!stop) {
-        const QueryResult res = index.query_signature(sigs[qi % n], 5);
-        for (const auto& hit : res.hits) {
-          // Any returned id must be one the writer could have inserted.
-          if (hit.id % n >= n) ++bad_hits;
-          if (hit.score < 0.0 || hit.score > 1.0) ++bad_hits;
+    std::thread writer([&] {
+      for (std::size_t round = 0; round < 20; ++round) {
+        for (std::size_t i = 0; i < n; ++i) {
+          index->insert_signature(round * n + i, sigs[i]);
         }
-        ++qi;
-        // Spend a moment off the lock: two readers re-acquiring back to
-        // back can starve the writer of the exclusive lock indefinitely
-        // under TSan's slowdown (shared_mutex makes no fairness promise).
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        // Erase half of this round's ids again.
+        for (std::size_t i = 0; i < n / 2; ++i) {
+          index->erase(round * n + i);
+        }
       }
+      stop = true;
     });
-  }
-  writer.join();
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(bad_hits.load(), 0u);
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+      readers.emplace_back([&, r] {
+        std::size_t qi = static_cast<std::size_t>(r);
+        while (!stop) {
+          const QueryResult res = index->query_signature(sigs[qi % n], 5);
+          for (const auto& hit : res.hits) {
+            // Any returned id must be one the writer could have inserted.
+            if (hit.id % n >= n) ++bad_hits;
+            if (hit.score < 0.0 || hit.score > 1.0) ++bad_hits;
+          }
+          ++qi;
+          // Spend a moment off the lock: two readers re-acquiring back to
+          // back can starve the writer of the exclusive lock indefinitely
+          // under TSan's slowdown (shared_mutex makes no fairness promise).
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+      });
+    }
+    writer.join();
+    for (auto& t : readers) t.join();
+    EXPECT_EQ(bad_hits.load(), 0u);
 
-  // Every id the writer left in place is still retrievable.
-  for (std::size_t i = n / 2; i < n; ++i) {
-    const QueryResult res = index.query_signature(sigs[i], 1);
-    ASSERT_FALSE(res.hits.empty());
-    EXPECT_DOUBLE_EQ(res.hits.front().score, 1.0);
+    // Every id the writer left in place is still retrievable.
+    for (std::size_t i = n / 2; i < n; ++i) {
+      const QueryResult res = index->query_signature(sigs[i], 1);
+      ASSERT_FALSE(res.hits.empty());
+      EXPECT_DOUBLE_EQ(res.hits.front().score, 1.0);
+    }
   }
 }
 
 TEST_F(ConcurrentTest, ParallelInsertersAllLand) {
-  ConcurrentFastIndex index(small_config(), *pca_);
-  FastIndex helper(small_config(), *pca_);
-  std::vector<hash::SparseSignature> sigs;
-  for (const auto& photo : dataset_->photos) {
-    sigs.push_back(helper.summarize(photo.image));
+  const std::vector<hash::SparseSignature> sigs = signatures();
+  for (const FastConfig& cfg : backend_configs()) {
+    SCOPED_TRACE(backend_name(cfg));
+    const auto index = make_backend(cfg, *pca_);
+    constexpr std::size_t kThreads = 4;
+    std::vector<std::thread> writers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&, t] {
+        for (std::size_t i = 0; i < sigs.size(); ++i) {
+          index->insert_signature(t * 1000 + i, sigs[i]);
+        }
+      });
+    }
+    for (auto& w : writers) w.join();
+    EXPECT_EQ(index->size(), kThreads * sigs.size());
   }
-  constexpr std::size_t kThreads = 4;
-  std::vector<std::thread> writers;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&, t] {
-      for (std::size_t i = 0; i < sigs.size(); ++i) {
-        index.insert_signature(t * 1000 + i, sigs[i]);
-      }
-    });
-  }
-  for (auto& w : writers) w.join();
-  EXPECT_EQ(index.size(), kThreads * sigs.size());
 }
 
-// Regression: the concurrent facade used to drop the FE + Bloom-hash
+// Regression: the thread-safe frontend used to drop the FE + Bloom-hash
 // charges that FastIndex::insert applies, so the same upload was billed
 // less when it went through the thread-safe path. All three insert paths
-// and the query path must charge identically.
+// and the query path must charge what the unwrapped index charges.
 TEST_F(ConcurrentTest, InsertCostMatchesPlainIndex) {
-  ConcurrentFastIndex concurrent(small_config(), *pca_);
-  FastIndex plain(small_config(), *pca_);
-  for (std::size_t i = 0; i < 8; ++i) {
-    const InsertResult a = concurrent.insert(i, dataset_->photos[i].image);
-    const InsertResult b = plain.insert(i, dataset_->photos[i].image);
-    EXPECT_DOUBLE_EQ(a.cost.elapsed_s(), b.cost.elapsed_s()) << i;
-    EXPECT_EQ(a.cost.hash_ops(), b.cost.hash_ops()) << i;
-    EXPECT_EQ(a.cost.ram_accesses(), b.cost.ram_accesses()) << i;
+  for (const FastConfig& cfg : backend_configs()) {
+    SCOPED_TRACE(backend_name(cfg));
+    const auto backend = make_backend(cfg, *pca_);
+    with_plain(cfg, [&](auto& plain) {
+      for (std::size_t i = 0; i < 8; ++i) {
+        const InsertResult a = backend->insert(i, dataset_->photos[i].image);
+        const InsertResult b = plain.insert(i, dataset_->photos[i].image);
+        EXPECT_DOUBLE_EQ(a.cost.elapsed_s(), b.cost.elapsed_s()) << i;
+        EXPECT_EQ(a.cost.hash_ops(), b.cost.hash_ops()) << i;
+        EXPECT_EQ(a.cost.ram_accesses(), b.cost.ram_accesses()) << i;
+      }
+    });
   }
 }
 
 TEST_F(ConcurrentTest, InsertBatchCostMatchesPlainIndex) {
-  ConcurrentFastIndex concurrent(small_config(), *pca_, 2);
-  FastIndex plain(small_config(), *pca_);
+  util::ThreadPool pool(2);
   std::vector<BatchImage> items;
   for (std::size_t i = 0; i < 10; ++i) {
     items.push_back(BatchImage{i, &dataset_->photos[i].image});
   }
-  const auto batch = concurrent.insert_batch(items);
-  ASSERT_EQ(batch.size(), items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const InsertResult b = plain.insert(items[i].id, *items[i].image);
-    EXPECT_DOUBLE_EQ(batch[i].cost.elapsed_s(), b.cost.elapsed_s()) << i;
-    EXPECT_EQ(batch[i].cost.hash_ops(), b.cost.hash_ops()) << i;
+  for (const FastConfig& cfg : backend_configs()) {
+    SCOPED_TRACE(backend_name(cfg));
+    const auto backend = make_backend(cfg, *pca_);
+    const auto batch = backend->insert_batch(items, &pool);
+    ASSERT_EQ(batch.size(), items.size());
+    with_plain(cfg, [&](auto& plain) {
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        const InsertResult b = plain.insert(items[i].id, *items[i].image);
+        EXPECT_DOUBLE_EQ(batch[i].cost.elapsed_s(), b.cost.elapsed_s()) << i;
+        EXPECT_EQ(batch[i].cost.hash_ops(), b.cost.hash_ops()) << i;
+      }
+    });
   }
 }
 
 TEST_F(ConcurrentTest, QueryCostMatchesPlainIndex) {
-  ConcurrentFastIndex concurrent(small_config(), *pca_);
-  FastIndex plain(small_config(), *pca_);
-  for (std::size_t i = 0; i < 8; ++i) {
-    concurrent.insert(i, dataset_->photos[i].image);
-    plain.insert(i, dataset_->photos[i].image);
-  }
-  for (std::size_t i = 0; i < 8; ++i) {
-    const QueryResult a = concurrent.query(dataset_->photos[i].image, 3);
-    const QueryResult b = plain.query(dataset_->photos[i].image, 3);
-    EXPECT_DOUBLE_EQ(a.cost.elapsed_s(), b.cost.elapsed_s()) << i;
-    EXPECT_EQ(a.cost.hash_ops(), b.cost.hash_ops()) << i;
-    EXPECT_EQ(a.cost.ram_accesses(), b.cost.ram_accesses()) << i;
+  for (const FastConfig& cfg : backend_configs()) {
+    SCOPED_TRACE(backend_name(cfg));
+    const auto backend = make_backend(cfg, *pca_);
+    with_plain(cfg, [&](auto& plain) {
+      for (std::size_t i = 0; i < 8; ++i) {
+        backend->insert(i, dataset_->photos[i].image);
+        plain.insert(i, dataset_->photos[i].image);
+      }
+      for (std::size_t i = 0; i < 8; ++i) {
+        const QueryResult a = backend->query(dataset_->photos[i].image, 3);
+        const QueryResult b = plain.query(dataset_->photos[i].image, 3);
+        EXPECT_DOUBLE_EQ(a.cost.elapsed_s(), b.cost.elapsed_s()) << i;
+        EXPECT_EQ(a.cost.hash_ops(), b.cost.hash_ops()) << i;
+        EXPECT_EQ(a.cost.ram_accesses(), b.cost.ram_accesses()) << i;
+      }
+    });
   }
 }
 
+// Flat only: the tier has no backend-wide writer lock to count.
 TEST_F(ConcurrentTest, InsertBatchTakesWriterLockOncePerBatch) {
-  ConcurrentFastIndex index(small_config(), *pca_, 2);
+  util::ThreadPool pool(2);
+  const auto index = make_backend(flat_config(), *pca_);
   std::vector<BatchImage> items;
   for (std::size_t i = 0; i < 16; ++i) {
     items.push_back(BatchImage{i, &dataset_->photos[i].image});
   }
-  const std::size_t locks_before = index.writer_lock_count();
-  const auto results = index.insert_batch(items);
-  EXPECT_EQ(index.writer_lock_count(), locks_before + 1);
+  const std::uint64_t locks_before = writer_locks(*index);
+  const auto results = index->insert_batch(items, &pool);
+  EXPECT_EQ(writer_locks(*index), locks_before + 1);
   ASSERT_EQ(results.size(), items.size());
-  EXPECT_EQ(index.size(), items.size());
+  EXPECT_EQ(index->size(), items.size());
 
   // The per-image path pays one writer-lock round-trip per insert.
-  const std::size_t locks_mid = index.writer_lock_count();
+  const std::uint64_t locks_mid = writer_locks(*index);
   for (std::size_t i = 16; i < 20; ++i) {
-    index.insert(i, dataset_->photos[i].image);
+    index->insert(i, dataset_->photos[i].image);
   }
-  EXPECT_EQ(index.writer_lock_count(), locks_mid + 4);
+  EXPECT_EQ(writer_locks(*index), locks_mid + 4);
 }
 
 // erase_batch is the write-side twin of insert_batch: one writer-lock
 // acquisition for the whole batch, and the same net effect as a loop of
 // single erases.
 TEST_F(ConcurrentTest, EraseBatchTakesWriterLockOncePerBatch) {
-  ConcurrentFastIndex batched(small_config(), *pca_, 2);
-  ConcurrentFastIndex looped(small_config(), *pca_, 2);
+  util::ThreadPool pool(2);
+  const auto batched = make_backend(flat_config(), *pca_);
+  const auto looped = make_backend(flat_config(), *pca_);
   std::vector<BatchImage> items;
   for (std::size_t i = 0; i < 16; ++i) {
     items.push_back(BatchImage{i, &dataset_->photos[i].image});
   }
-  batched.insert_batch(items);
-  looped.insert_batch(items);
+  batched->insert_batch(items, &pool);
+  looped->insert_batch(items, &pool);
 
   std::vector<std::uint64_t> victims = {0, 2, 4, 6, 99, 4};
-  const std::size_t locks_before = batched.writer_lock_count();
-  const std::size_t erased = batched.erase_batch(victims);
-  EXPECT_EQ(batched.writer_lock_count(), locks_before + 1);
+  const std::uint64_t locks_before = writer_locks(*batched);
+  const std::size_t erased = batched->erase_batch(victims);
+  EXPECT_EQ(writer_locks(*batched), locks_before + 1);
   // 99 was never inserted and 4 repeats: four distinct ids went away.
   EXPECT_EQ(erased, 4u);
 
   // The looped path pays one lock per call but lands on the same state.
-  const std::size_t looped_before = looped.writer_lock_count();
+  const std::uint64_t looped_before = writer_locks(*looped);
   std::size_t looped_erased = 0;
   for (const std::uint64_t id : victims) {
-    if (looped.erase(id)) ++looped_erased;
+    if (looped->erase(id)) ++looped_erased;
   }
-  EXPECT_EQ(looped.writer_lock_count(), looped_before + victims.size());
+  EXPECT_EQ(writer_locks(*looped), looped_before + victims.size());
   EXPECT_EQ(erased, looped_erased);
-  EXPECT_EQ(batched.size(), looped.size());
+  EXPECT_EQ(batched->size(), looped->size());
 
-  // Both facades exported the batch size to the shared registry.
-  const auto snapshot = batched.metrics().snapshot();
+  // The backend exported the batch size to the shared registry.
+  const auto snapshot = batched->metrics().snapshot();
   const auto it = snapshot.histograms.find("concurrent.erase_batch_size");
   ASSERT_NE(it, snapshot.histograms.end());
   EXPECT_EQ(it->second.count, 1u);
 }
 
 TEST_F(ConcurrentTest, BatchMatchesPerImagePath) {
-  ConcurrentFastIndex batched(small_config(), *pca_, 2);
-  ConcurrentFastIndex sequential(small_config(), *pca_, 2);
+  util::ThreadPool pool(2);
   std::vector<BatchImage> items;
   for (std::size_t i = 0; i < 12; ++i) {
     items.push_back(BatchImage{i, &dataset_->photos[i].image});
   }
-  batched.insert_batch(items);
-  for (const auto& item : items) sequential.insert(item.id, *item.image);
-  EXPECT_EQ(batched.size(), sequential.size());
-
   std::vector<const img::Image*> queries;
   for (std::size_t i = 0; i < 6; ++i) {
     queries.push_back(&dataset_->photos[i].image);
   }
-  const auto batch_results = batched.query_batch(queries, 3);
-  ASSERT_EQ(batch_results.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const QueryResult single = sequential.query(*queries[i], 3);
-    ASSERT_EQ(batch_results[i].hits.size(), single.hits.size());
-    for (std::size_t h = 0; h < single.hits.size(); ++h) {
-      EXPECT_EQ(batch_results[i].hits[h].id, single.hits[h].id);
-      EXPECT_DOUBLE_EQ(batch_results[i].hits[h].score, single.hits[h].score);
+  for (const FastConfig& cfg : backend_configs()) {
+    SCOPED_TRACE(backend_name(cfg));
+    const auto batched = make_backend(cfg, *pca_);
+    const auto sequential = make_backend(cfg, *pca_);
+    batched->insert_batch(items, &pool);
+    for (const auto& item : items) sequential->insert(item.id, *item.image);
+    EXPECT_EQ(batched->size(), sequential->size());
+
+    const auto batch_results = batched->query_batch(queries, 3, &pool);
+    ASSERT_EQ(batch_results.size(), queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const QueryResult single = sequential->query(*queries[i], 3);
+      ASSERT_EQ(batch_results[i].hits.size(), single.hits.size());
+      for (std::size_t h = 0; h < single.hits.size(); ++h) {
+        EXPECT_EQ(batch_results[i].hits[h].id, single.hits[h].id);
+        EXPECT_DOUBLE_EQ(batch_results[i].hits[h].score,
+                         single.hits[h].score);
+      }
     }
   }
 }
 
 TEST_F(ConcurrentTest, QueriesRaceBatchInsertsWithoutLosses) {
-  ConcurrentFastIndex index(small_config(), *pca_, 2);
+  util::ThreadPool pool(2);
   std::vector<BatchImage> items;
   for (std::size_t i = 0; i < dataset_->photos.size(); ++i) {
     items.push_back(BatchImage{i, &dataset_->photos[i].image});
   }
-  FastIndex helper(small_config(), *pca_);
-  std::vector<hash::SparseSignature> sigs;
-  for (const auto& photo : dataset_->photos) {
-    sigs.push_back(helper.summarize(photo.image));
-  }
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::size_t> bad_hits{0};
-  std::thread writer([&] {
-    for (std::size_t round = 0; round < 4; ++round) {
-      std::vector<BatchImage> batch = items;
-      for (auto& item : batch) item.id += round * 1000;
-      index.insert_batch(batch);
-    }
-    stop = true;
-  });
-  std::thread reader([&] {
-    std::size_t qi = 0;
-    while (!stop) {
-      const QueryResult res = index.query_signature(sigs[qi % sigs.size()], 5);
-      for (const auto& hit : res.hits) {
-        if (hit.score < 0.0 || hit.score > 1.0) ++bad_hits;
+  const std::vector<hash::SparseSignature> sigs = signatures();
+  for (const FastConfig& cfg : backend_configs()) {
+    SCOPED_TRACE(backend_name(cfg));
+    const auto index = make_backend(cfg, *pca_);
+    std::atomic<bool> stop{false};
+    std::atomic<std::size_t> bad_hits{0};
+    std::thread writer([&] {
+      for (std::size_t round = 0; round < 4; ++round) {
+        std::vector<BatchImage> batch = items;
+        for (auto& item : batch) item.id += round * 1000;
+        index->insert_batch(batch, &pool);
       }
-      ++qi;
-    }
-  });
-  writer.join();
-  reader.join();
-  EXPECT_EQ(bad_hits.load(), 0u);
-  EXPECT_EQ(index.size(), 4 * items.size());
+      stop = true;
+    });
+    std::thread reader([&] {
+      std::size_t qi = 0;
+      while (!stop) {
+        const QueryResult res =
+            index->query_signature(sigs[qi % sigs.size()], 5);
+        for (const auto& hit : res.hits) {
+          if (hit.score < 0.0 || hit.score > 1.0) ++bad_hits;
+        }
+        ++qi;
+      }
+    });
+    writer.join();
+    reader.join();
+    EXPECT_EQ(bad_hits.load(), 0u);
+    EXPECT_EQ(index->size(), 4 * items.size());
+  }
 }
 
 }  // namespace

@@ -1,4 +1,3 @@
-#include <cstdio>
 #include <set>
 #include <string>
 
@@ -353,34 +352,6 @@ TEST_F(FastIndexTest, ReinsertDoesNotDuplicateGroupMembership) {
   EXPECT_TRUE(index.erase(3));
   EXPECT_FALSE(index.erase(3));
   EXPECT_EQ(index.size(), 0u);
-}
-
-TEST_F(FastIndexTest, SaveLoadAfterErasePreservesStateAndAnswers) {
-  const std::string path = "/tmp/fast_index_erase_roundtrip.bin";
-  FastIndex index(small_config(), *pca_);
-  std::vector<hash::SparseSignature> sigs;
-  for (std::size_t i = 0; i < 12; ++i) {
-    sigs.push_back(index.summarize(dataset_->photos[i].image));
-    index.insert_signature(i, sigs.back());
-  }
-  ASSERT_TRUE(index.erase(2));
-  ASSERT_TRUE(index.erase(7));
-  index.save(path);
-
-  FastIndex loaded = FastIndex::load(path, small_config(), *pca_);
-  EXPECT_EQ(loaded.size(), index.size());
-  EXPECT_EQ(loaded.signature_of(2), nullptr);
-  EXPECT_EQ(loaded.signature_of(7), nullptr);
-  for (std::size_t i = 0; i < 12; ++i) {
-    const QueryResult before = index.query_signature(sigs[i], 3);
-    const QueryResult after = loaded.query_signature(sigs[i], 3);
-    ASSERT_EQ(before.hits.size(), after.hits.size()) << "query " << i;
-    for (std::size_t h = 0; h < before.hits.size(); ++h) {
-      EXPECT_EQ(before.hits[h].id, after.hits[h].id);
-      EXPECT_DOUBLE_EQ(before.hits[h].score, after.hits[h].score);
-    }
-  }
-  std::remove(path.c_str());
 }
 
 // ---------- QueryEngine ----------

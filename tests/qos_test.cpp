@@ -493,13 +493,19 @@ TEST_F(QosServerTest, DrainingRejectionCarriesHintAndIsCounted) {
   options.retry_after_ms = 8;
   options.retry_max_ms = 500;
   options.debug_request_delay_us = 100000;  // 100ms: holds the drain open
+  // Held until stop() releases it, so both pings below stay queued and
+  // countable until the drain begins.
+  options.debug_hold_workers = true;
   start(options);
 
   Client client;
   ASSERT_TRUE(client.connect("127.0.0.1", server_->port()).ok());
-  // Two admitted requests keep the server draining for ~200ms.
+  // Two admitted requests keep the server draining for ~200ms. A sent
+  // frame is not yet admitted: stop() must not start before the I/O
+  // thread has read both, or it rejects them and the drain ends at once.
   ASSERT_TRUE(client.send(encode_ping(600)).ok());
   ASSERT_TRUE(client.send(encode_ping(601)).ok());
+  ASSERT_TRUE(wait_for_lane_depth(*server_, Lane::kQuery, 2));
 
   std::thread stopper([this] { server_->stop(); });
   while (server_->running()) std::this_thread::yield();

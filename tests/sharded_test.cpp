@@ -1,11 +1,11 @@
 // Tests for the distributed index, deletion and persistence extensions.
-#include <cstdio>
 #include <filesystem>
 
 #include <gtest/gtest.h>
 
 #include "core/fast_index.hpp"
 #include "core/sharded_index.hpp"
+#include "core/tiered_index.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 #include "workload/query_gen.hpp"
@@ -53,7 +53,7 @@ TEST_F(ShardedTest, InsertsRouteToOwningShard) {
   // Each id lives exactly in its mapped shard.
   for (std::size_t i = 0; i < 20; ++i) {
     const std::size_t owner = index.shard_of(i);
-    EXPECT_NE(index.shard(owner).signature_of(i), nullptr);
+    EXPECT_TRUE(index.shard(owner).find_signature(i).has_value());
   }
 }
 
@@ -85,8 +85,8 @@ TEST_F(ShardedTest, QueryCostIncludesNetworkHops) {
 
 // The distributed insert is the local insert plus exactly one signature-
 // routing network hop — same FE + Bloom-hash + placement accounting as the
-// plain index underneath (the cost-parity contract shared with the
-// concurrent facade).
+// plain index underneath (the cost-parity contract shared with the flat
+// IndexBackend).
 TEST_F(ShardedTest, InsertCostIsPlainIndexPlusOneNetworkHop) {
   // One shard so the storage seed (and thus probe counts) match `plain`
   // exactly; the multi-shard batch path is covered by
@@ -168,59 +168,6 @@ TEST_F(ShardedTest, ReinsertAfterErase) {
   const QueryResult r = index.query_signature(sig, 1);
   ASSERT_FALSE(r.hits.empty());
   EXPECT_EQ(r.hits.front().id, 7u);
-}
-
-// ---------- persistence ----------
-
-TEST_F(ShardedTest, SaveLoadRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fast_index_test.bin")
-          .string();
-  FastIndex index(small_config(), *pca_);
-  std::vector<hash::SparseSignature> sigs;
-  for (std::size_t i = 0; i < 15; ++i) {
-    sigs.push_back(index.summarize(dataset_->photos[i].image));
-    index.insert_signature(i, sigs.back());
-  }
-  index.save(path);
-
-  FastIndex restored = FastIndex::load(path, small_config(), *pca_);
-  EXPECT_EQ(restored.size(), index.size());
-  for (std::size_t i = 0; i < 15; ++i) {
-    const auto* sig = restored.signature_of(i);
-    ASSERT_NE(sig, nullptr);
-    EXPECT_EQ(sig->set_bits(), sigs[i].set_bits());
-    const QueryResult r = restored.query_signature(sigs[i], 1);
-    ASSERT_FALSE(r.hits.empty());
-    EXPECT_DOUBLE_EQ(r.hits.front().score, 1.0);
-  }
-  std::remove(path.c_str());
-}
-
-TEST_F(ShardedTest, LoadRejectsGeometryMismatch) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fast_index_geom.bin")
-          .string();
-  FastIndex index(small_config(), *pca_);
-  index.insert_signature(0, index.summarize(dataset_->photos[0].image));
-  index.save(path);
-  FastConfig other = small_config();
-  other.bloom_bits = 4096;
-  other.lsh.dim = 4096;
-  EXPECT_THROW(FastIndex::load(path, other, *pca_), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST_F(ShardedTest, LoadRejectsGarbage) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fast_index_garbage.bin")
-          .string();
-  FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("not an index", f);
-  std::fclose(f);
-  EXPECT_THROW(FastIndex::load(path, small_config(), *pca_),
-               std::runtime_error);
-  std::remove(path.c_str());
 }
 
 // ---------- batch path ----------
@@ -434,11 +381,11 @@ TEST_F(ShardedTest, RoutingWorksOnTieredShards) {
   cfg_off.shard_routing_bits = 0;
   ShardedFastIndex routed(cfg, *pca_, 4, 2);
   ShardedFastIndex full(cfg_off, *pca_, 4, 2);
-  ASSERT_TRUE(routed.is_tiered());
+  ASSERT_NE(dynamic_cast<const TieredIndex*>(&routed.shard(0)), nullptr);
 
   std::vector<hash::SparseSignature> sigs;
   for (std::size_t i = 0; i < 20; ++i) {
-    sigs.push_back(routed.tiered_shard(0).summarize(dataset_->photos[i].image));
+    sigs.push_back(routed.shard(0).summarize(dataset_->photos[i].image));
     routed.insert_signature(i, sigs.back());
     full.insert_signature(i, sigs.back());
   }

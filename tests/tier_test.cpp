@@ -16,11 +16,12 @@
 
 #include <gtest/gtest.h>
 
-#include "core/concurrent_index.hpp"
+#include "core/index_backend.hpp"
 #include "core/query_engine.hpp"
 #include "core/sharded_index.hpp"
 #include "core/tiered_index.hpp"
 #include "test_helpers.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fast::core {
 namespace {
@@ -250,32 +251,34 @@ TEST_F(TierTest, ExpositionCarriesTierMetrics) {
 }
 
 TEST_F(TierTest, ConcurrentFacadeDispatchesToTier) {
-  FastConfig cfg = tiered_config();
-  ConcurrentFastIndex tiered(cfg, *pca_, 2);
-  ConcurrentFastIndex flat(flat_config(), *pca_, 2);
-  ASSERT_TRUE(tiered.is_tiered());
-  ASSERT_FALSE(flat.is_tiered());
+  util::ThreadPool pool(2);
+  const auto tiered = make_backend(tiered_config(), *pca_);
+  const auto flat = make_backend(flat_config(), *pca_);
+  ASSERT_NE(dynamic_cast<const TieredIndex*>(tiered.get()), nullptr);
+  ASSERT_EQ(dynamic_cast<const TieredIndex*>(flat.get()), nullptr);
 
   std::vector<BatchImage> items;
   for (std::size_t i = 0; i < 24; ++i) {
     items.push_back(BatchImage{i, &dataset_->photos[i].image});
   }
-  tiered.insert_batch(items);
-  flat.insert_batch(items);
-  EXPECT_EQ(tiered.size(), flat.size());
-  // The tiered facade adds no global writer lock — that is the point.
-  EXPECT_EQ(tiered.writer_lock_count(), 0u);
+  tiered->insert_batch(items, &pool);
+  flat->insert_batch(items, &pool);
+  EXPECT_EQ(tiered->size(), flat->size());
+  // The tiered backend adds no global writer lock — that is the point.
+  EXPECT_EQ(tiered->metrics().snapshot().counters.count(
+                "concurrent.writer_locks"),
+            0u);
 
   const std::vector<std::uint64_t> victims = {0, 2, 4, 6};
-  EXPECT_EQ(tiered.erase_batch(victims), flat.erase_batch(victims));
-  EXPECT_EQ(tiered.size(), flat.size());
+  EXPECT_EQ(tiered->erase_batch(victims), flat->erase_batch(victims));
+  EXPECT_EQ(tiered->size(), flat->size());
 
   std::vector<const img::Image*> queries;
   for (std::size_t i = 0; i < 8; ++i) {
     queries.push_back(&dataset_->photos[i].image);
   }
-  const auto a = tiered.query_batch(queries, 5);
-  const auto b = flat.query_batch(queries, 5);
+  const auto a = tiered->query_batch(queries, 5, &pool);
+  const auto b = flat->query_batch(queries, 5, &pool);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     expect_same_hits(a[i], b[i]);
@@ -285,7 +288,7 @@ TEST_F(TierTest, ConcurrentFacadeDispatchesToTier) {
 TEST_F(TierTest, ShardedDeploymentRunsTieredShards) {
   ShardedFastIndex tiered(tiered_config(), *pca_, 2, 2);
   ShardedFastIndex flat(flat_config(), *pca_, 2, 2);
-  ASSERT_TRUE(tiered.is_tiered());
+  ASSERT_NE(dynamic_cast<const TieredIndex*>(&tiered.shard(0)), nullptr);
   EXPECT_EQ(tiered.shard_count(), 2u);
   for (std::size_t i = 0; i < 24; ++i) {
     tiered.insert_signature(i, (*sigs_)[i]);
@@ -302,7 +305,7 @@ TEST_F(TierTest, ShardedDeploymentRunsTieredShards) {
     expect_same_hits(a, b);
   }
   // The per-shard accessor reaches the tiered shard directly.
-  EXPECT_GT(tiered.tiered_shard(0).size() + tiered.tiered_shard(1).size(), 0u);
+  EXPECT_EQ(tiered.shard(0).size() + tiered.shard(1).size(), tiered.size());
 }
 
 TEST_F(TierTest, QueryEngineServesTieredBackend) {
@@ -314,7 +317,8 @@ TEST_F(TierTest, QueryEngineServesTieredBackend) {
   }
   QueryEngine tiered_engine(tiered, 2);
   QueryEngine flat_engine(flat, 2);
-  ASSERT_TRUE(tiered_engine.is_tiered());
+  // The engine serves the tier itself, not a copy or a wrapper.
+  ASSERT_EQ(&tiered_engine.metrics(), &tiered.metrics());
 
   const BatchReport a = tiered_engine.run_batch(*sigs_);
   const BatchReport b = flat_engine.run_batch(*sigs_);

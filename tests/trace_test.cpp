@@ -1,7 +1,7 @@
 // Tests for the per-request tracing layer (util/trace.hpp): sampling
 // decisions, span nesting and ordering, attributes, the slow-query ring,
 // Chrome trace export, and — under TSan — concurrent traced pipeline
-// traffic through ConcurrentFastIndex.
+// traffic through the flat IndexBackend.
 #include <algorithm>
 #include <cstdlib>
 #include <string>
@@ -10,8 +10,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/concurrent_index.hpp"
 #include "core/fast_index.hpp"
+#include "core/index_backend.hpp"
 #include "core/tiered_index.hpp"
 #include "test_helpers.hpp"
 #include "util/trace.hpp"
@@ -349,31 +349,31 @@ TEST_F(TraceTest, TieredChurnFeedsSlowRingWithBoundedCapacity) {
 }
 
 // Concurrent traced traffic (runs under TSan in CI): readers and writers
-// hammer one ConcurrentFastIndex while every request records spans, so the
+// hammer one flat IndexBackend while every request records spans, so the
 // thread-buffer registration, sampling counters and profile/ring mutexes
 // all get exercised cross-thread.
 TEST_F(TraceTest, ConcurrentTracedInsertQueryEraseIsRaceFree) {
   configure(1.0, /*slow_s=*/0.0, /*ring=*/16, /*max_profiles=*/1 << 16);
   const vision::PcaModel pca = test::fake_pca();
-  core::ConcurrentFastIndex index(small_config(), pca, 2);
-  const std::size_t bits = index.unsafe_inner().config().bloom_bits;
+  const auto index = core::make_backend(small_config(), pca);
+  const std::size_t bits = index->config().bloom_bits;
   constexpr std::uint64_t kIds = 64;
   for (std::uint64_t id = 0; id < kIds; ++id) {
-    index.insert_signature(id, synthetic_signature(id, bits));
+    index->insert_signature(id, synthetic_signature(id, bits));
   }
 
   std::vector<std::thread> threads;
   threads.emplace_back([&] {  // writer: churn the upper id range
     for (std::uint64_t i = 0; i < 200; ++i) {
       const std::uint64_t id = kIds + (i % 16);
-      index.insert_signature(id, synthetic_signature(id, bits));
-      if (i % 3 == 0) index.erase(id);
+      index->insert_signature(id, synthetic_signature(id, bits));
+      if (i % 3 == 0) index->erase(id);
     }
   });
   for (int r = 0; r < 3; ++r) {
     threads.emplace_back([&, r] {  // readers: traced queries throughout
       for (std::uint64_t i = 0; i < 200; ++i) {
-        const auto result = index.query_signature(
+        const auto result = index->query_signature(
             synthetic_signature((i + static_cast<std::uint64_t>(r)) % kIds,
                                 bits),
             5);
