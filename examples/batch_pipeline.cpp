@@ -1,10 +1,9 @@
-// Stage-oriented pipeline tour: the same FastIndex behaviour composed
-// three ways, plus the batch-first execution path.
+// Stage-oriented pipeline tour: the same FastIndex behaviour over two CHS
+// backends, plus the batch-first execution path.
 //
-//   1. stock index (p-stable LSH aggregator + flat cuckoo store)
-//   2. config-selected backends (MinHash banding + chained vertical
+//   1. stock index (MinHash banding aggregator + flat cuckoo store)
+//   2. a config-selected backend (MinHash banding + chained vertical
 //      addressing, the paper's Sec. III baseline layout)
-//   3. explicit stage injection through the pipeline interfaces
 //
 // Every variant is fed through insert_batch/query_batch with a thread
 // pool, which parallelises feature extraction + summarisation before the
@@ -19,8 +18,6 @@
 #include <string>
 
 #include "core/fast_index.hpp"
-#include "core/pipeline/factory.hpp"
-#include "hash/group_stores.hpp"
 #include "util/metrics.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -172,19 +169,6 @@ int main(int argc, char** argv) {
     add("minhash + chained", run(index, dataset, queries, pool));
     dump_metrics(index, "chained");
     dump_trace("chained");
-  }
-
-  // 3. Explicit stage injection: swap in one custom stage (a chained
-  //    store) while the factory builds the rest.
-  {
-    core::FastConfig cfg;
-    auto aggregator = core::pipeline::make_aggregator(cfg);
-    auto store = std::make_unique<hash::ChainedGroupStore>(
-        cfg.chained_buckets, cfg.cuckoo.seed, aggregator->table_count());
-    core::FastIndex index(cfg, core::pipeline::make_summarizer(cfg, pca),
-                          std::move(aggregator), std::move(store));
-    add("minhash + injected chained", run(index, dataset, queries, pool));
-    dump_trace("injected_chained");
   }
 
   table.print("batch pipeline variants over " +

@@ -33,9 +33,6 @@ struct TierConfig {
   std::size_t compact_fanin = 4;
   /// Per-lane segment count that makes the lane eligible for compaction.
   std::size_t compact_trigger = 8;
-  /// Per-segment bloom summary sizing over (table, bucket-key) pairs; the
-  /// filter lets queries skip segments that cannot contain any probe key.
-  double bloom_bits_per_key = 10.0;
   /// Run seal finalization + compaction on a background thread. Tests and
   /// crash-matrix workloads set false to make merges deterministic and
   /// inline (compaction runs at seal time on the calling thread).

@@ -12,9 +12,10 @@
 //                              vertical-addressing baseline
 //                              (pipeline::GroupStore)
 //
-// The index is a thin composition over pipeline::{Summarizer,
-// SemanticAggregator, GroupStore}; backends are selected by FastConfig (or
-// injected directly) instead of being hard-wired here. Queries are O(1):
+// The index composes the shared IndexFront (config, FE+SM summarizer, SA
+// aggregator, metrics and the query scaffold; core/index_front.hpp) with
+// its own CHS state: one pipeline::GroupStore chosen by config.chs_backend,
+// the correlation groups and the stored signatures. Queries are O(1):
 // L tables x (1 + probes) x bounded slot reads, all constants under flat
 // addressing, followed by ranking the (small) candidate set by sparse-
 // signature Jaccard similarity. Every operation reports simulated platform
@@ -28,57 +29,33 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/durability.hpp"
+#include "core/index_front.hpp"
 #include "core/pipeline/group_store.hpp"
-#include "core/pipeline/semantic_aggregator.hpp"
-#include "core/pipeline/summarizer.hpp"
 #include "core/result.hpp"
 #include "hash/sparse_signature.hpp"
 #include "img/image.hpp"
 #include "storage/snapshot.hpp"
-#include "storage/wal.hpp"
 #include "vision/pca.hpp"
 
-namespace fast::util {
-class ThreadPool;
-class MetricsRegistry;
-class Counter;
-class Gauge;
-class Histogram;
-}
-
 namespace fast::core {
-
-/// One item of a batched ingest: the image stays owned by the caller.
-struct BatchImage {
-  std::uint64_t id = 0;
-  const img::Image* image = nullptr;
-};
 
 class FastIndex {
  public:
   /// `pca` is the PCA-SIFT eigenspace, trained offline on a sample of the
   /// corpus (see vision::train_pca_sift). Stages are built from `config`
-  /// via pipeline::make_* factories.
+  /// via the pipeline::make_* factories.
   FastIndex(FastConfig config, vision::PcaModel pca);
 
-  /// Stage-injection constructor: composes caller-provided FE/SM, SA and
-  /// CHS implementations (tests, experimental backends). The aggregator
-  /// and store must agree on the table count; the summarizer's signature
-  /// width must match config.bloom_bits.
-  FastIndex(FastConfig config,
-            std::unique_ptr<pipeline::Summarizer> summarizer,
-            std::unique_ptr<pipeline::SemanticAggregator> aggregator,
-            std::unique_ptr<pipeline::GroupStore> store);
-
-  const FastConfig& config() const noexcept { return config_; }
+  const FastConfig& config() const noexcept { return front_.config(); }
+  /// The shared FE+SM / SA / query scaffold (the flat backend's lock-free
+  /// summarization and FE decoration go through it).
+  const IndexFront& front() const noexcept { return front_; }
   std::size_t size() const noexcept { return signatures_.size(); }
   std::size_t group_count() const noexcept { return groups_.size(); }
   std::size_t rehash_count() const noexcept { return rehashes_; }
@@ -86,21 +63,13 @@ class FastIndex {
   // --- FE + SM ---
 
   /// Runs feature extraction + Bloom summarization for one image.
-  hash::SparseSignature summarize(const img::Image& image) const;
-
-  /// Simulated frontend cost every image-ingest path must charge on top of
-  /// insert_signature: feature extraction plus the k Bloom hash ops per
-  /// descriptor group. Factored out so the flat backend and the sharded
-  /// frontend account identically to insert() (they used to drop it).
-  sim::SimClock frontend_insert_cost() const noexcept;
+  hash::SparseSignature summarize(const img::Image& image) const {
+    return front_.summarize(image);
+  }
 
   /// Tunes the LSH input scale from sample queries against a corpus sample
-  /// (the paper's R-selection procedure, §IV-A2): the median query-to-
-  /// nearest-neighbor distance is mapped to calibrate_target * omega. Must
-  /// be called before the first insert; a no-op when either sample is empty.
-  /// The O(queries * corpus) brute-force NN sweep fans across `pool` when
-  /// provided (per-query scans are independent); results are identical to
-  /// the sequential path.
+  /// (IndexFront::calibrate_scale, the paper's R-selection procedure). Must
+  /// be called before the first insert.
   void calibrate_scale(std::span<const hash::SparseSignature> sample_queries,
                        std::span<const hash::SparseSignature> corpus_sample,
                        util::ThreadPool* pool = nullptr);
@@ -148,16 +117,16 @@ class FastIndex {
   storage::Status save_snapshot();
 
   /// True when mutations are WAL-logged (index came from open_or_recover).
-  bool durable() const noexcept { return wal_ != nullptr; }
+  bool durable() const noexcept { return log_.durable(); }
 
   /// Forces an fsync of any WAL records buffered by a wal_sync_every > 1
   /// group-commit cadence, so every acknowledged mutation is durable (the
   /// server drains through this on graceful shutdown). No-op when already
   /// synced or non-durable.
-  storage::Status sync_wal();
+  storage::Status sync_wal() { return log_.sync(); }
 
   /// Sequence number of the last applied mutation (0 before any).
-  std::uint64_t last_seq() const noexcept { return last_seq_; }
+  std::uint64_t last_seq() const noexcept { return log_.last_seq(); }
 
   // --- Query path ---
 
@@ -167,13 +136,6 @@ class FastIndex {
   /// Query with a precomputed signature.
   QueryResult query_signature(const hash::SparseSignature& signature,
                               std::size_t k) const;
-
-  /// query() minus summarization: costs for a query whose signature was
-  /// just extracted from an image (FE charge + Bloom hash ops + parallel FE
-  /// task chunks). Public so the flat backend charges queries
-  /// identically to query() after summarizing outside its lock.
-  QueryResult query_summarized(const hash::SparseSignature& signature,
-                               std::size_t k) const;
 
   /// Batch query: FE+SM and the per-query probe/rank work both fan across
   /// `pool` when provided. Results are identical to per-item query() calls.
@@ -202,7 +164,7 @@ class FastIndex {
   /// distributions and occupancy accumulate here (metric names in
   /// DESIGN.md §3b). Thread-safe to read and update concurrently; shared
   /// with the flat backend and sharded frontend wrapping this index.
-  util::MetricsRegistry& metrics() const noexcept { return *metrics_; }
+  util::MetricsRegistry& metrics() const noexcept { return front_.metrics(); }
 
   /// Total bytes of the in-memory index: sparse signatures + storage slots +
   /// group membership lists + aggregator parameters. This is the FAST
@@ -213,32 +175,15 @@ class FastIndex {
   hash::CuckooStats cuckoo_stats() const;
 
  private:
-  /// Cached instrument pointers so hot paths (queries racing through the
-  /// flat backend's shared lock) update metrics with relaxed atomic
-  /// increments only — never the registry mutex.
-  struct StageMetrics {
-    util::Counter* fe_sm_images = nullptr;
-    util::Histogram* fe_sm_summarize_s = nullptr;
-    util::Counter* inserts = nullptr;
-    util::Counter* erases = nullptr;
-    util::Counter* queries = nullptr;
-    util::Histogram* insert_sim_s = nullptr;
-    util::Histogram* query_sim_s = nullptr;
-    util::Counter* sa_keys_derived = nullptr;
-    util::Counter* sa_insert_hash_ops = nullptr;
-    // Native wall time of one aggregator_->keys() call. Deliberately
-    // separate from sa.insert_hash_ops: the ops counter charges the paper's
-    // dense L*M*dim flop model to the simulated platform, while this
-    // histogram tracks what the real (sparse) kernel actually costs.
-    util::Histogram* sa_keys_wall_s = nullptr;
-    util::Histogram* sa_probe_keys = nullptr;
+  /// Instruments of the flat CHS layout, cached so hot paths (queries
+  /// racing through the flat backend's shared lock) update metrics with
+  /// relaxed atomic increments only — never the registry mutex. The shared
+  /// ones live in IndexFront::Instruments and DurableLog.
+  struct StoreMetrics {
     util::Counter* chs_group_hits = nullptr;
     util::Counter* chs_group_creates = nullptr;
     util::Counter* chs_rehash_events = nullptr;
-    util::Counter* chs_slot_reads = nullptr;
     util::Counter* chs_fingerprint_false_hits = nullptr;
-    util::Histogram* chs_bucket_probes = nullptr;
-    util::Histogram* chs_candidates = nullptr;
     util::Gauge* chs_load_factor = nullptr;
     util::Gauge* chs_occupied_slots = nullptr;
     util::Gauge* chs_capacity_slots = nullptr;
@@ -246,26 +191,14 @@ class FastIndex {
     util::Gauge* chs_total_kicks = nullptr;
     util::Gauge* chs_max_kick_chain = nullptr;
     util::Gauge* chs_store_bytes = nullptr;
-    util::Gauge* index_size = nullptr;
     util::Gauge* index_groups = nullptr;
-    util::Counter* wal_appends = nullptr;
-    util::Counter* wal_bytes = nullptr;
-    util::Counter* wal_syncs = nullptr;
-    util::Histogram* snapshot_write_s = nullptr;
-    util::Gauge* snapshot_bytes = nullptr;
-    util::Counter* recovery_replayed_records = nullptr;
-    util::Counter* recovery_snapshots_skipped = nullptr;
   };
 
-  /// Registers this index's instruments and caches their pointers.
+  /// Registers the CHS instruments and caches their pointers.
   void init_metrics();
 
   /// Refreshes the CHS occupancy/kick gauges from the store (write paths).
   void publish_storage_gauges();
-
-  /// Runs FE+SM for `images`, fanned across `pool` when provided.
-  std::vector<hash::SparseSignature> summarize_batch(
-      std::span<const img::Image* const> images, util::ThreadPool* pool) const;
 
   /// Mutation bodies, shared by the public (WAL-logging) wrappers and WAL
   /// replay. They touch only in-memory state — never the log — so replay
@@ -274,38 +207,19 @@ class FastIndex {
                             const hash::SparseSignature& signature);
   bool apply_erase(std::uint64_t id);
 
-  /// Logs one record ahead of its application; fsyncs on the configured
-  /// cadence. Throws storage::IoError when the append or sync fails — the
-  /// mutation was NOT applied and the index must be reopened via
-  /// open_or_recover. No-op for non-durable indexes.
-  void wal_log(std::uint8_t type, std::uint64_t id,
-               std::span<const std::uint8_t> payload);
-
-  /// Serializes the full index state at last_seq_.
+  /// Serializes the full index state at last_seq().
   storage::SnapshotFile build_snapshot() const;
   /// Restores state from a validated snapshot; false = undecodable content
   /// (caller falls back to an older snapshot).
   bool restore_snapshot(const storage::SnapshotFile& snapshot);
 
-  FastConfig config_;
-  std::unique_ptr<pipeline::Summarizer> summarizer_;
-  std::unique_ptr<pipeline::SemanticAggregator> aggregator_;
+  IndexFront front_;
   std::unique_ptr<pipeline::GroupStore> store_;
   std::vector<std::vector<std::uint64_t>> groups_;  // group id -> member ids
   std::unordered_map<std::uint64_t, hash::SparseSignature> signatures_;
   std::size_t rehashes_ = 0;
-  // shared_ptr keeps the registry (which holds mutexes/atomics and cannot
-  // move) stable across FastIndex moves, so the cached pointers stay valid.
-  std::shared_ptr<util::MetricsRegistry> metrics_;
-  StageMetrics m_;
-
-  // Durability state; all null/zero for a purely in-memory index.
-  storage::Env* env_ = nullptr;
-  std::string dir_;
-  std::size_t wal_sync_every_ = 1;
-  std::unique_ptr<storage::WalWriter> wal_;
-  std::uint64_t last_seq_ = 0;
-  std::size_t appends_since_sync_ = 0;
+  StoreMetrics m_;
+  DurableLog log_;
 };
 
 }  // namespace fast::core

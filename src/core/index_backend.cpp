@@ -31,21 +31,7 @@ class LockedFlatIndex final : public IndexBackend {
     erase_batch_size_ = &r.count_histogram("concurrent.erase_batch_size");
   }
 
-  hash::SparseSignature summarize(const img::Image& image) const override {
-    return index_.summarize(image);
-  }
-  sim::SimClock frontend_insert_cost() const noexcept override {
-    return index_.frontend_insert_cost();
-  }
-
-  InsertResult insert(std::uint64_t id, const img::Image& image) override {
-    util::TraceSpan span("insert.image");
-    const hash::SparseSignature sig = index_.summarize(image);
-    std::unique_lock lock = writer_lock();
-    InsertResult result = index_.insert_signature(id, sig);
-    result.cost.merge(index_.frontend_insert_cost());
-    return result;
-  }
+  const IndexFront& front() const noexcept override { return index_.front(); }
 
   InsertResult insert_signature(
       std::uint64_t id, const hash::SparseSignature& signature) override {
@@ -58,8 +44,9 @@ class LockedFlatIndex final : public IndexBackend {
     insert_batch_size_->observe(static_cast<double>(items.size()));
     std::vector<const img::Image*> images(items.size());
     for (std::size_t i = 0; i < items.size(); ++i) images[i] = items[i].image;
-    const std::vector<hash::SparseSignature> sigs = summarize_all(images, pool);
-    const sim::SimClock frontend = index_.frontend_insert_cost();
+    const std::vector<hash::SparseSignature> sigs =
+        front().summarize_batch(images, pool);
+    const sim::SimClock frontend = front().frontend_insert_cost();
 
     std::unique_lock lock = writer_lock();
     std::vector<InsertResult> results;
@@ -99,13 +86,6 @@ class LockedFlatIndex final : public IndexBackend {
     return erased;
   }
 
-  QueryResult query(const img::Image& image, std::size_t k) const override {
-    util::TraceSpan span("query.image");
-    const hash::SparseSignature sig = index_.summarize(image);
-    std::shared_lock lock(mutex_);
-    return index_.query_summarized(sig, k);
-  }
-
   QueryResult query_signature(const hash::SparseSignature& signature,
                               std::size_t k) const override {
     std::shared_lock lock(mutex_);
@@ -116,10 +96,12 @@ class LockedFlatIndex final : public IndexBackend {
       std::span<const img::Image* const> images, std::size_t k,
       util::ThreadPool* pool) const override {
     query_batch_size_->observe(static_cast<double>(images.size()));
-    const std::vector<hash::SparseSignature> sigs = summarize_all(images, pool);
+    const std::vector<hash::SparseSignature> sigs =
+        front().summarize_batch(images, pool);
     std::vector<QueryResult> results(images.size());
     const auto one = [&](std::size_t i) {
-      results[i] = index_.query_summarized(sigs[i], k);
+      results[i] =
+          front().with_frontend_cost(index_.query_signature(sigs[i], k));
     };
     std::shared_lock lock(mutex_);
     if (pool != nullptr && images.size() > 1) {
@@ -152,10 +134,6 @@ class LockedFlatIndex final : public IndexBackend {
     std::shared_lock lock(mutex_);
     return index_.index_bytes();
   }
-  const FastConfig& config() const noexcept override { return index_.config(); }
-  util::MetricsRegistry& metrics() const noexcept override {
-    return index_.metrics();
-  }
   bool durable() const noexcept override { return index_.durable(); }
 
   /// Under the writer lock, so the image captures a point between
@@ -181,21 +159,6 @@ class LockedFlatIndex final : public IndexBackend {
     }
     writer_locks_->add();
     return lock;
-  }
-
-  /// FE+SM for `images`, fanned across `pool` when given; no lock held.
-  std::vector<hash::SparseSignature> summarize_all(
-      std::span<const img::Image* const> images, util::ThreadPool* pool) const {
-    std::vector<hash::SparseSignature> sigs(images.size());
-    const auto one = [&](std::size_t i) {
-      sigs[i] = index_.summarize(*images[i]);
-    };
-    if (pool != nullptr && images.size() > 1) {
-      pool->parallel_for(images.size(), one);
-    } else {
-      for (std::size_t i = 0; i < images.size(); ++i) one(i);
-    }
-    return sigs;
   }
 
   std::unique_ptr<FastIndex> owned_;

@@ -27,6 +27,7 @@
 
 #include "core/config.hpp"
 #include "core/durability.hpp"
+#include "core/index_front.hpp"
 #include "core/result.hpp"
 #include "hash/sparse_signature.hpp"
 #include "img/image.hpp"
@@ -39,7 +40,6 @@ class MetricsRegistry;
 
 namespace fast::core {
 
-struct BatchImage;
 class FastIndex;
 
 /// One signature write: a precomputed signature and its id (the shape
@@ -56,14 +56,25 @@ class IndexBackend {
   IndexBackend& operator=(const IndexBackend&) = delete;
   virtual ~IndexBackend() = default;
 
-  // --- FE + SM (stateless: never takes an index lock) ---
-  virtual hash::SparseSignature summarize(const img::Image& image) const = 0;
+  /// The shared FE+SM / SA / query scaffold (core/index_front.hpp). The
+  /// FE+SM entry points below go through it and never take an index lock.
+  virtual const IndexFront& front() const noexcept = 0;
+
+  // --- FE + SM ---
+  hash::SparseSignature summarize(const img::Image& image) const {
+    return front().summarize(image);
+  }
   /// The FE + Bloom-hash charge every image-ingest path adds on top of
-  /// insert_signature (see FastIndex::frontend_insert_cost).
-  virtual sim::SimClock frontend_insert_cost() const noexcept = 0;
+  /// insert_signature (IndexFront::frontend_insert_cost).
+  sim::SimClock frontend_insert_cost() const noexcept {
+    return front().frontend_insert_cost();
+  }
 
   // --- Mutations (WAL-logged when durable()) ---
-  virtual InsertResult insert(std::uint64_t id, const img::Image& image) = 0;
+  /// summarize, then insert_signature, plus the frontend cost.
+  InsertResult insert(std::uint64_t id, const img::Image& image) {
+    return front().insert_image(*this, id, image);
+  }
   virtual InsertResult insert_signature(
       std::uint64_t id, const hash::SparseSignature& signature) = 0;
   /// FE+SM fans across `pool` when given; placement runs in item order and
@@ -79,7 +90,10 @@ class IndexBackend {
   virtual std::size_t erase_batch(std::span<const std::uint64_t> ids) = 0;
 
   // --- Queries ---
-  virtual QueryResult query(const img::Image& image, std::size_t k) const = 0;
+  /// summarize, then query_signature, plus the frontend cost.
+  QueryResult query(const img::Image& image, std::size_t k) const {
+    return front().query_image(*this, image, k);
+  }
   virtual QueryResult query_signature(const hash::SparseSignature& signature,
                                       std::size_t k) const = 0;
   /// FE+SM and probe/rank fan across `pool` when given; results match
@@ -101,9 +115,9 @@ class IndexBackend {
   virtual std::size_t size() const = 0;
   /// In-memory index bytes (the FAST column of Table IV).
   virtual std::size_t index_bytes() const = 0;
-  virtual const FastConfig& config() const noexcept = 0;
+  const FastConfig& config() const noexcept { return front().config(); }
   /// Per-stage registry (DESIGN.md §3b); thread-safe.
-  virtual util::MetricsRegistry& metrics() const noexcept = 0;
+  util::MetricsRegistry& metrics() const noexcept { return front().metrics(); }
   /// True when mutations are WAL-logged (opened via open_backend).
   virtual bool durable() const noexcept = 0;
   /// Snapshot + WAL rotation; requires durable().

@@ -2,23 +2,8 @@
 
 #include "hash/aggregators.hpp"
 #include "hash/group_stores.hpp"
-#include "vision/bloom_summarizer.hpp"
 
 namespace fast::core::pipeline {
-
-std::unique_ptr<Summarizer> make_summarizer(const FastConfig& config,
-                                            vision::PcaModel pca) {
-  vision::BloomSummarizerConfig sc;
-  sc.dog = config.dog;
-  sc.pca_sift = config.pca_sift;
-  sc.max_keypoints = config.max_keypoints;
-  sc.bloom_bits = config.bloom_bits;
-  sc.bloom_hashes = config.bloom_hashes;
-  sc.quantize_group_dims = config.quantize_group_dims;
-  sc.quantize_cell = config.quantize_cell;
-  sc.spatial_cell_px = config.spatial_cell_px;
-  return std::make_unique<vision::BloomSummarizer>(sc, std::move(pca));
-}
 
 std::unique_ptr<SemanticAggregator> make_aggregator(const FastConfig& config) {
   if (config.sa_backend == FastConfig::SaBackend::kPStable) {

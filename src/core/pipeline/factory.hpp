@@ -1,8 +1,8 @@
-// Builds the concrete stage adapters a FastConfig selects. The factory is
-// the only place the pipeline names concrete backends; FastIndex itself
-// composes whatever stages it is handed, so new FE/SA/CHS implementations
-// plug in here (or are injected directly through FastIndex's stage
-// constructor) without touching the index.
+// Builds the SA and CHS stage adapters a FastConfig selects. The factory is
+// the only place the pipeline names concrete SA/CHS backends, so a new one
+// plugs in here without touching the indexes. (FE+SM has one
+// implementation, vision::BloomSummarizer, which IndexFront holds
+// directly.)
 #pragma once
 
 #include <memory>
@@ -10,14 +10,8 @@
 #include "core/config.hpp"
 #include "core/pipeline/group_store.hpp"
 #include "core/pipeline/semantic_aggregator.hpp"
-#include "core/pipeline/summarizer.hpp"
-#include "vision/pca.hpp"
 
 namespace fast::core::pipeline {
-
-/// FE+SM stage: DoG + PCA-SIFT features folded into a Bloom summary.
-std::unique_ptr<Summarizer> make_summarizer(const FastConfig& config,
-                                            vision::PcaModel pca);
 
 /// SA stage per config.sa_backend (p-stable LSH or MinHash banding).
 std::unique_ptr<SemanticAggregator> make_aggregator(const FastConfig& config);

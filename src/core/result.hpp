@@ -2,6 +2,8 @@
 // answers and the simulated-cost accounting that drives the figures.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -13,6 +15,19 @@ struct ScoredId {
   std::uint64_t id = 0;
   double score = 0;  ///< similarity in [0, 1] (Bloom-signature Jaccard)
 };
+
+/// Keeps the k best hits, best first: score descending, then id ascending
+/// (the deterministic tie-break every backend and the shard gather share).
+inline void keep_top_k(std::vector<ScoredId>& hits, std::size_t k) {
+  const std::size_t keep = std::min(k, hits.size());
+  std::partial_sort(hits.begin(),
+                    hits.begin() + static_cast<std::ptrdiff_t>(keep),
+                    hits.end(), [](const ScoredId& a, const ScoredId& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      return a.id < b.id;
+                    });
+  hits.resize(keep);
+}
 
 struct QueryResult {
   std::vector<ScoredId> hits;      ///< ranked, best first

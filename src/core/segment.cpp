@@ -8,17 +8,17 @@ namespace fast::core {
 
 namespace {
 // Segments always hash key fingerprints with the same probe count and
-// seed; only the width scales with content.
+// seed; only the width scales with content, at a fixed number of bits per
+// (table, key) pair.
 constexpr std::size_t kSegmentBloomHashes = 6;
 constexpr std::uint64_t kSegmentBloomSeed = 0x5e67;
+constexpr std::size_t kSegmentBloomBitsPerKey = 10;
 }  // namespace
 
-hash::BloomFilter ImmutableSegment::build_bloom(const MemtableIndex& state,
-                                                double bits_per_key) {
+hash::BloomFilter ImmutableSegment::build_bloom(const MemtableIndex& state) {
   const std::size_t pairs = state.entries() * state.table_count();
-  const std::size_t bits = std::max<std::size_t>(
-      64, static_cast<std::size_t>(static_cast<double>(pairs) *
-                                   std::max(bits_per_key, 1.0)));
+  const std::size_t bits =
+      std::max<std::size_t>(64, pairs * kSegmentBloomBitsPerKey);
   hash::BloomFilter bloom(bits, kSegmentBloomHashes, kSegmentBloomSeed);
   for (const std::uint64_t id : state.sorted_ids()) {
     const std::vector<std::uint64_t>& keys = *state.keys_of(id);

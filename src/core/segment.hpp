@@ -79,10 +79,8 @@ class ImmutableSegment {
 
   /// Builds the probe-skipping bloom for `state` from its cached per-id
   /// home keys (no aggregator hashing; safe to run while queries read the
-  /// same state). Sized to bits_per_key bits per (table, key) pair,
-  /// floor 64.
-  static hash::BloomFilter build_bloom(const MemtableIndex& state,
-                                       double bits_per_key);
+  /// same state). Sized to 10 bits per (table, key) pair, floor 64.
+  static hash::BloomFilter build_bloom(const MemtableIndex& state);
 
   /// Snapshot-section codec (payload of one kSectionTierSegment).
   void serialize(util::ByteWriter& out) const;

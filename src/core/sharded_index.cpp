@@ -372,12 +372,7 @@ QueryResult ShardedFastIndex::gather(std::vector<QueryResult> per_shard,
     merged.cost.charge(config_.cost.net_transfer_s(gather_bytes));
   }
 
-  std::sort(merged.hits.begin(), merged.hits.end(),
-            [](const ScoredId& a, const ScoredId& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.id < b.id;
-            });
-  if (merged.hits.size() > k) merged.hits.resize(k);
+  keep_top_k(merged.hits, k);
   gather_candidates_->observe(static_cast<double>(merged.candidates));
   return merged;
 }

@@ -1,17 +1,12 @@
 #include "core/tiered_index.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "core/fast_index.hpp"
-#include "core/pipeline/factory.hpp"
 #include "util/check.hpp"
 #include "util/metrics.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
 
@@ -22,26 +17,23 @@ TieredIndex::TieredIndex(FastConfig config, vision::PcaModel pca)
 
 TieredIndex::TieredIndex(FastConfig config, vision::PcaModel pca,
                          bool start_worker)
-    : config_(std::move(config)),
-      summarizer_(pipeline::make_summarizer(config_, std::move(pca))),
-      aggregator_(pipeline::make_aggregator(config_)) {
-  FAST_CHECK_MSG(config_.lsh.dim == config_.bloom_bits,
-                 "LSH input dim must equal the Bloom summary width");
-  FAST_CHECK_MSG(summarizer_->signature_bits() == config_.bloom_bits,
-                 "summarizer width must match the configured Bloom width");
-  tables_ = aggregator_->table_count();
-  mem_config_ = config_;
+    : front_(std::move(config), std::move(pca)),
+      mem_config_(front_.config()),
+      tables_(front_.table_count()),
+      log_(front_.metrics()) {
   // Headroom over the seal threshold keeps a filling memtable below the
   // store's 80% proactive-doubling load for a whole seal interval. Capped
   // so a huge (effectively never-seal) threshold does not pre-allocate an
   // arena the tier will never fill; past the cap the store grows on demand.
   const std::size_t target_cap = std::min<std::size_t>(
-      config_.tier.seal_threshold + config_.tier.seal_threshold / 2,
+      front_.config().tier.seal_threshold +
+          front_.config().tier.seal_threshold / 2,
       std::size_t{1} << 16);
   while (mem_config_.cuckoo.capacity < target_cap) {
     mem_config_.cuckoo.capacity *= 2;
   }
-  const std::size_t lane_count = std::max<std::size_t>(config_.tier.lanes, 1);
+  const std::size_t lane_count =
+      std::max<std::size_t>(front_.config().tier.lanes, 1);
   lanes_.reserve(lane_count);
   for (std::size_t l = 0; l < lane_count; ++l) {
     auto lane = std::make_unique<Lane>();
@@ -51,7 +43,7 @@ TieredIndex::TieredIndex(FastConfig config, vision::PcaModel pca,
   }
   init_metrics();
   m_.tier_lanes->set(static_cast<double>(lanes_.size()));
-  if (start_worker && config_.tier.background) {
+  if (start_worker && front_.config().tier.background) {
     worker_ = std::thread(&TieredIndex::worker_loop, this);
   }
 }
@@ -59,24 +51,8 @@ TieredIndex::TieredIndex(FastConfig config, vision::PcaModel pca,
 TieredIndex::~TieredIndex() { stop_worker(); }
 
 void TieredIndex::init_metrics() {
-  metrics_ = std::make_shared<util::MetricsRegistry>();
-  util::MetricsRegistry& r = *metrics_;
-  m_.fe_sm_images = &r.counter("fe_sm.images");
-  m_.fe_sm_summarize_s = &r.latency_histogram("fe_sm.summarize_s");
-  m_.inserts = &r.counter("index.inserts");
-  m_.erases = &r.counter("index.erases");
-  m_.queries = &r.counter("index.queries");
-  m_.insert_sim_s = &r.latency_histogram("index.insert_sim_s");
-  m_.query_sim_s = &r.latency_histogram("index.query_sim_s");
+  util::MetricsRegistry& r = front_.metrics();
   m_.query_wall_s = &r.latency_histogram("query.wall_s");
-  m_.sa_keys_derived = &r.counter("sa.keys_derived");
-  m_.sa_insert_hash_ops = &r.counter("sa.insert_hash_ops");
-  m_.sa_keys_wall_s = &r.latency_histogram("sa.keys_wall_s");
-  m_.sa_probe_keys = &r.count_histogram("sa.probe_keys_per_query");
-  m_.chs_slot_reads = &r.counter("chs.slot_reads");
-  m_.chs_bucket_probes = &r.count_histogram("chs.bucket_probes_per_query");
-  m_.chs_candidates = &r.count_histogram("chs.candidates_per_query");
-  m_.index_size = &r.gauge("index.size");
   m_.tier_lanes = &r.gauge("tier.lanes");
   m_.tier_memtable_entries = &r.gauge("tier.memtable_entries");
   m_.tier_tombstones = &r.gauge("tier.tombstones");
@@ -90,13 +66,6 @@ void TieredIndex::init_metrics() {
   m_.compaction_merge_entries = &r.count_histogram("compaction.merge_entries");
   m_.compaction_merged_segments =
       &r.count_histogram("compaction.merged_segments");
-  m_.wal_appends = &r.counter("wal.appends");
-  m_.wal_bytes = &r.counter("wal.bytes");
-  m_.wal_syncs = &r.counter("wal.syncs");
-  m_.snapshot_write_s = &r.latency_histogram("snapshot.write_s");
-  m_.snapshot_bytes = &r.gauge("snapshot.bytes");
-  m_.recovery_replayed_records = &r.counter("recovery.replayed_records");
-  m_.recovery_snapshots_skipped = &r.counter("recovery.snapshots_skipped");
 }
 
 std::size_t TieredIndex::segment_count() const {
@@ -131,13 +100,13 @@ std::size_t TieredIndex::index_bytes() const {
       }
     }
   }
-  bytes += aggregator_->param_bytes();
+  bytes += front_.param_bytes();
   return bytes;
 }
 
 std::uint64_t TieredIndex::last_seq() const {
   std::lock_guard<std::mutex> lk(wal_mutex_);
-  return last_seq_;
+  return log_.last_seq();
 }
 
 void TieredIndex::publish_tier_gauges() {
@@ -156,62 +125,7 @@ void TieredIndex::publish_tier_gauges() {
       static_cast<std::size_t>(std::max<std::int64_t>(
           mem_tombstones_.load(std::memory_order_relaxed), 0)) +
       seg_tombstones));
-  m_.index_size->set(static_cast<double>(size()));
-}
-
-// --- FE + SM --------------------------------------------------------------
-
-hash::SparseSignature TieredIndex::summarize(const img::Image& image) const {
-  util::TraceSpan span("fe_sm.summarize");
-  util::WallTimer timer;
-  hash::SparseSignature sig = summarizer_->summarize(image);
-  m_.fe_sm_images->add();
-  m_.fe_sm_summarize_s->observe(timer.elapsed_seconds());
-  return sig;
-}
-
-sim::SimClock TieredIndex::frontend_insert_cost() const noexcept {
-  sim::SimClock clock;
-  clock.charge(config_.feature_extract_s);
-  clock.charge_hash(config_.cost.hash_op_s,
-                    config_.max_keypoints * config_.bloom_hashes);
-  return clock;
-}
-
-void TieredIndex::calibrate_scale(
-    std::span<const hash::SparseSignature> sample_queries,
-    std::span<const hash::SparseSignature> corpus_sample,
-    util::ThreadPool* pool) {
-  FAST_CHECK_MSG(size() == 0, "calibrate before inserting");
-  if (sample_queries.empty() || corpus_sample.empty()) return;
-  // Same R-tuning as FastIndex::calibrate_scale (paper §IV-A2): median
-  // sample-query NN distance mapped onto calibrate_target * omega.
-  std::vector<double> best(sample_queries.size());
-  const auto nn_of = [&](std::size_t i) {
-    double b = std::numeric_limits<double>::infinity();
-    for (const auto& c : corpus_sample) {
-      const double d = static_cast<double>(
-          hash::SparseSignature::hamming(sample_queries[i], c));
-      b = std::min(b, d);
-    }
-    best[i] = b;
-  };
-  if (pool != nullptr && sample_queries.size() > 1) {
-    pool->parallel_for(sample_queries.size(), nn_of);
-  } else {
-    for (std::size_t i = 0; i < sample_queries.size(); ++i) nn_of(i);
-  }
-  std::vector<double> nn;
-  nn.reserve(best.size());
-  for (const double b : best) {
-    if (std::isfinite(b)) nn.push_back(std::sqrt(b));
-  }
-  FAST_CHECK(!nn.empty());
-  std::nth_element(nn.begin(), nn.begin() + nn.size() / 2, nn.end());
-  const double median_nn = std::max(nn[nn.size() / 2], 1.0);
-  config_.lsh_input_scale =
-      config_.calibrate_target * config_.lsh.omega / median_nn;
-  aggregator_->set_input_scale(config_.lsh_input_scale);
+  front_.m().index_size->set(static_cast<double>(size()));
 }
 
 // --- Mutations ------------------------------------------------------------
@@ -225,14 +139,6 @@ bool TieredIndex::segments_contain_live(const Lane& lane, std::uint64_t id) {
   return false;
 }
 
-InsertResult TieredIndex::insert(std::uint64_t id, const img::Image& image) {
-  util::TraceSpan span("insert.image");
-  const hash::SparseSignature sig = summarize(image);
-  InsertResult stored = insert_signature(id, sig);
-  stored.cost.merge(frontend_insert_cost());
-  return stored;
-}
-
 InsertResult TieredIndex::insert_signature(
     std::uint64_t id, const hash::SparseSignature& signature) {
   return insert_internal(id, signature, /*log=*/true);
@@ -242,28 +148,10 @@ InsertResult TieredIndex::insert_internal(
     std::uint64_t id, const hash::SparseSignature& signature, bool log) {
   util::TraceSpan span("insert");
   InsertResult result;
-  FAST_CHECK(signature.bit_count() == config_.bloom_bits);
-
-  const std::size_t sa_ops = aggregator_->insert_hash_ops(signature);
-  if (aggregator_->cost_domain() ==
-      pipeline::SemanticAggregator::CostDomain::kFlops) {
-    result.cost.charge_flops(config_.cost.flop_s, sa_ops);
-  } else {
-    result.cost.charge_hash(config_.cost.mix_op_s, sa_ops);
-  }
-
   // Keys are derived OUTSIDE the lane lock: the critical section below is
   // pure placement (this is the point of the memtable split).
-  util::WallTimer keys_timer;
-  std::vector<std::uint64_t> keys;
-  {
-    util::TraceSpan keys_span("sa.keys");
-    keys = aggregator_->keys(signature, nullptr);
-    keys_span.attr("keys", static_cast<double>(keys.size()));
-  }
-  m_.sa_keys_wall_s->observe(keys_timer.elapsed_seconds());
-  m_.sa_keys_derived->add(keys.size());
-  m_.sa_insert_hash_ops->add(sa_ops);
+  const std::vector<std::uint64_t> keys =
+      front_.insert_keys(signature, result.cost);
 
   const std::size_t lane_idx = lane_of(id);
   Lane& lane = *lanes_[lane_idx];
@@ -293,7 +181,7 @@ InsertResult TieredIndex::insert_internal(
                                                &slot_reads);
     result.rehashes = events;
     if (events > 0) result.ok = false;
-    result.cost.charge_ram(config_.cost.ram_access_s, slot_reads);
+    result.cost.charge_ram(front_.config().cost.ram_access_s, slot_reads);
     if (!was_live) live_.fetch_add(1, std::memory_order_relaxed);
     mem_entries_.fetch_add(
         static_cast<std::int64_t>(lane.mem->entries()) - e0,
@@ -303,10 +191,9 @@ InsertResult TieredIndex::insert_internal(
         std::memory_order_relaxed);
     sealed = maybe_seal_locked(lane, lane_idx);
   }
-  m_.chs_slot_reads->add(slot_reads);
-  m_.inserts->add();
-  m_.insert_sim_s->observe(result.cost.elapsed_s());
-  m_.index_size->set(static_cast<double>(size()));
+  front_.m().chs_slot_reads->add(slot_reads);
+  front_.record_insert(result);
+  front_.m().index_size->set(static_cast<double>(size()));
   span.attr("rehash_events", static_cast<double>(result.rehashes));
   span.attr("lane", static_cast<double>(lane_idx));
   if (sealed) schedule_maintenance();
@@ -315,26 +202,7 @@ InsertResult TieredIndex::insert_internal(
 
 std::vector<InsertResult> TieredIndex::insert_batch(
     std::span<const BatchImage> items, util::ThreadPool* pool) {
-  std::vector<hash::SparseSignature> sigs(items.size());
-  const auto summarize_one = [&](std::size_t i) {
-    sigs[i] = summarize(*items[i].image);
-  };
-  if (pool != nullptr && items.size() > 1) {
-    pool->parallel_for(items.size(), summarize_one);
-  } else {
-    for (std::size_t i = 0; i < items.size(); ++i) summarize_one(i);
-  }
-
-  util::TraceSpan span("insert_batch.place");
-  span.attr("items", static_cast<double>(items.size()));
-  std::vector<InsertResult> results;
-  results.reserve(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    InsertResult stored = insert_signature(items[i].id, sigs[i]);
-    stored.cost.merge(frontend_insert_cost());
-    results.push_back(std::move(stored));
-  }
-  return results;
+  return front_.insert_batch(*this, items, pool);
 }
 
 std::vector<InsertResult> TieredIndex::insert_batch(
@@ -388,8 +256,8 @@ bool TieredIndex::erase_internal(std::uint64_t id, bool log) {
     }
   }
   if (erased) {
-    m_.erases->add();
-    m_.index_size->set(static_cast<double>(size()));
+    front_.m().erases->add();
+    front_.m().index_size->set(static_cast<double>(size()));
   }
   if (sealed) schedule_maintenance();
   return erased;
@@ -410,7 +278,7 @@ std::size_t TieredIndex::erase_batch(std::span<const std::uint64_t> ids) {
 
 bool TieredIndex::maybe_seal_locked(Lane& lane, std::size_t lane_idx) {
   const std::size_t threshold =
-      std::max<std::size_t>(config_.tier.seal_threshold, 1);
+      std::max<std::size_t>(front_.config().tier.seal_threshold, 1);
   if (lane.mem->mention_count() < threshold) return false;
   seal_locked(lane, lane_idx);
   return true;
@@ -529,8 +397,7 @@ void TieredIndex::finalize_blooms(Lane& lane) {
     util::TraceSpan span("seal.finalize");
     span.attr("segment", static_cast<double>(seg->id()));
     span.attr("entries", static_cast<double>(seg->entries()));
-    hash::BloomFilter bloom = ImmutableSegment::build_bloom(
-        seg->state(), config_.tier.bloom_bits_per_key);
+    hash::BloomFilter bloom = ImmutableSegment::build_bloom(seg->state());
     span.attr("bloom_bits", static_cast<double>(bloom.bit_count()));
     // The upgraded segment SHARES the frozen state; only the summary is new.
     auto upgraded = std::make_shared<const ImmutableSegment>(
@@ -542,9 +409,9 @@ void TieredIndex::finalize_blooms(Lane& lane) {
 bool TieredIndex::try_compact_lane(Lane& lane) {
   const auto list = lane.segments.load();
   const std::size_t fanin =
-      std::max<std::size_t>(config_.tier.compact_fanin, 2);
+      std::max<std::size_t>(front_.config().tier.compact_fanin, 2);
   const std::size_t trigger =
-      std::max<std::size_t>(config_.tier.compact_trigger, fanin);
+      std::max<std::size_t>(front_.config().tier.compact_trigger, fanin);
   if (list->size() < trigger) return false;
 
   // Size-tiered pick: the contiguous window of `fanin` neighbors with the
@@ -594,8 +461,7 @@ bool TieredIndex::try_compact_lane(Lane& lane) {
 
   std::shared_ptr<const ImmutableSegment> replacement;
   if (!merged.empty()) {
-    hash::BloomFilter bloom = ImmutableSegment::build_bloom(
-        merged, config_.tier.bloom_bits_per_key);
+    hash::BloomFilter bloom = ImmutableSegment::build_bloom(merged);
     replacement = std::make_shared<const ImmutableSegment>(
         next_segment_id_.fetch_add(1, std::memory_order_relaxed),
         std::make_shared<const MemtableIndex>(std::move(merged)),
@@ -640,243 +506,141 @@ void TieredIndex::splice_segments(
 
 // --- Queries --------------------------------------------------------------
 
-QueryResult TieredIndex::query(const img::Image& image, std::size_t k) const {
-  util::TraceSpan span("query.image");
-  return query_summarized(summarize(image), k);
-}
-
-QueryResult TieredIndex::query_summarized(
-    const hash::SparseSignature& signature, std::size_t k) const {
-  QueryResult result = query_signature(signature, k);
-  result.cost.merge(frontend_insert_cost());
-  const double fe_chunk =
-      config_.feature_extract_s / static_cast<double>(config_.max_keypoints);
-  for (std::size_t i = 0; i < config_.max_keypoints; ++i) {
-    result.parallel_tasks.push_back(fe_chunk);
-  }
-  return result;
-}
-
 std::vector<QueryResult> TieredIndex::query_batch(
     std::span<const img::Image* const> images, std::size_t k,
     util::ThreadPool* pool) const {
-  std::vector<QueryResult> results(images.size());
-  if (pool != nullptr && images.size() > 1) {
-    pool->parallel_for(images.size(), [&](std::size_t i) {
-      results[i] = query(*images[i], k);
-    });
-  } else {
-    for (std::size_t i = 0; i < images.size(); ++i) {
-      results[i] = query(*images[i], k);
-    }
-  }
-  return results;
+  return front_.query_batch(*this, images, k, pool);
 }
 
 QueryResult TieredIndex::query_signature(const hash::SparseSignature& signature,
                                          std::size_t k) const {
-  util::TraceSpan qspan("query");
-  util::Tracer& tracer = util::Tracer::global();
-  const bool profiling = tracer.enabled();
-  const double profile_start_s = profiling ? tracer.now_s() : 0.0;
   util::WallTimer wall_timer;
-
-  QueryResult result;
-  FAST_CHECK(signature.bit_count() == config_.bloom_bits);
-
-  std::vector<std::vector<std::uint64_t>> probes;
-  std::vector<std::uint64_t> keys;
-  std::size_t probe_keys = 0;
-  util::WallTimer keys_timer;
-  {
-    util::TraceSpan keys_span("sa.keys");
-    keys = aggregator_->keys(signature, &probes);
-    for (const auto& per_table : probes) probe_keys += per_table.size();
-    keys_span.attr("keys", static_cast<double>(keys.size()));
-    keys_span.attr("probe_keys", static_cast<double>(probe_keys));
-  }
-  const double keys_s = keys_timer.elapsed_seconds();
-  m_.sa_keys_wall_s->observe(keys_s);
-  m_.sa_keys_derived->add(keys.size());
-  m_.sa_probe_keys->observe(static_cast<double>(probe_keys));
-
-  // SA hashing is per table, independent of how many layers get probed.
-  const std::size_t per_table_ops =
-      aggregator_->query_hash_ops_per_table(signature);
-  const double hash_cost =
-      aggregator_->cost_domain() ==
-              pipeline::SemanticAggregator::CostDomain::kFlops
-          ? config_.cost.flop_s * static_cast<double>(per_table_ops)
-          : config_.cost.mix_op_s * static_cast<double>(per_table_ops);
-
-  std::vector<std::size_t> table_slot_reads(keys.size(), 0);
   std::vector<ScoredId> scored;
-  std::size_t slot_reads_total = 0;
-  std::size_t segments_probed = 0;
-  std::size_t segments_skipped = 0;
-  {
-    util::TraceSpan probe_span("chs.probe");
-    for (const auto& lane_ptr : lanes_) {
-      const Lane& lane = *lane_ptr;
-      std::shared_ptr<const SegmentList> list;
-      std::vector<std::unordered_set<std::uint64_t>> per_seg;
-      std::unordered_map<std::uint64_t, bool> mem_shadowed;
-      {
-        std::shared_lock<std::shared_mutex> lk(lane.mem_mutex);
-        // Pin the segment list under the memtable lock: seal publishes its
-        // segment before dropping the exclusive lock, so this list and the
-        // memtable form a consistent cut. Loading the list outside would
-        // let a concurrent seal move memtable entries into a segment this
-        // query never sees (missed hits, resurrected erases).
-        list = lane.segments.load();
+  const auto probe = [&](const QueryKeys& q, QueryResult& result) {
+    const std::vector<std::uint64_t>& keys = q.keys;
+    const std::vector<std::vector<std::uint64_t>>& probes = q.probes;
+    std::vector<std::size_t> table_slot_reads(keys.size(), 0);
+    std::size_t slot_reads_total = 0;
+    std::size_t segments_probed = 0;
+    std::size_t segments_skipped = 0;
+    {
+      util::TraceSpan probe_span("chs.probe");
+      for (const auto& lane_ptr : lanes_) {
+        const Lane& lane = *lane_ptr;
+        std::shared_ptr<const SegmentList> list;
+        std::vector<std::unordered_set<std::uint64_t>> per_seg;
+        std::unordered_map<std::uint64_t, bool> mem_shadowed;
+        {
+          std::shared_lock<std::shared_mutex> lk(lane.mem_mutex);
+          // Pin the segment list under the memtable lock: seal publishes its
+          // segment before dropping the exclusive lock, so this list and the
+          // memtable form a consistent cut. Loading the list outside would
+          // let a concurrent seal move memtable entries into a segment this
+          // query never sees (missed hits, resurrected erases).
+          list = lane.segments.load();
 
-        // 1) Segments: candidate collection stays in the critical section
-        //    because the shadow decisions below must come from the
-        //    memtable of the same cut. A finalized bloom that rejects
-        //    every probe key skips the segment.
-        per_seg.resize(list->size());
-        for (std::size_t si = 0; si < list->size(); ++si) {
-          const ImmutableSegment& seg = *(*list)[si];
-          bool touch = false;
-          for (std::size_t t = 0; t < keys.size() && !touch; ++t) {
-            if (seg.may_contain(t, keys[t])) {
-              touch = true;
-              break;
-            }
-            for (const std::uint64_t pk : probes[t]) {
-              if (seg.may_contain(t, pk)) {
+          // 1) Segments: candidate collection stays in the critical section
+          //    because the shadow decisions below must come from the
+          //    memtable of the same cut. A finalized bloom that rejects
+          //    every probe key skips the segment.
+          per_seg.resize(list->size());
+          for (std::size_t si = 0; si < list->size(); ++si) {
+            const ImmutableSegment& seg = *(*list)[si];
+            bool touch = false;
+            for (std::size_t t = 0; t < keys.size() && !touch; ++t) {
+              if (seg.may_contain(t, keys[t])) {
                 touch = true;
                 break;
               }
+              for (const std::uint64_t pk : probes[t]) {
+                if (seg.may_contain(t, pk)) {
+                  touch = true;
+                  break;
+                }
+              }
+            }
+            if (!touch) {
+              ++segments_skipped;
+              continue;
+            }
+            ++segments_probed;
+            for (std::size_t t = 0; t < keys.size(); ++t) {
+              ++result.bucket_probes;
+              seg.state().collect(t, keys[t], per_seg[si],
+                                  &table_slot_reads[t]);
+              for (const std::uint64_t pk : probes[t]) {
+                ++result.bucket_probes;
+                seg.state().collect(t, pk, per_seg[si], &table_slot_reads[t]);
+              }
             }
           }
-          if (!touch) {
-            ++segments_skipped;
-            continue;
-          }
-          ++segments_probed;
+
+          // 2) Memtable: probe, score (the signature map can rehash under
+          //    writers, so scoring stays inside the lock), and take the
+          //    shadow decisions segment candidates need.
+          std::unordered_set<std::uint64_t> mem_ids;
           for (std::size_t t = 0; t < keys.size(); ++t) {
             ++result.bucket_probes;
-            seg.state().collect(t, keys[t], per_seg[si], &table_slot_reads[t]);
+            lane.mem->collect(t, keys[t], mem_ids, &table_slot_reads[t]);
             for (const std::uint64_t pk : probes[t]) {
               ++result.bucket_probes;
-              seg.state().collect(t, pk, per_seg[si], &table_slot_reads[t]);
+              lane.mem->collect(t, pk, mem_ids, &table_slot_reads[t]);
+            }
+          }
+          for (const std::uint64_t id : mem_ids) {
+            scored.push_back(ScoredId{
+                id, hash::SparseSignature::jaccard(
+                        signature, *lane.mem->signature_of(id))});
+          }
+          for (const auto& ids : per_seg) {
+            for (const std::uint64_t id : ids) {
+              if (mem_shadowed.find(id) == mem_shadowed.end()) {
+                mem_shadowed.emplace(id, lane.mem->shadows(id));
+              }
             }
           }
         }
 
-        // 2) Memtable: probe, score (the signature map can rehash under
-        //    writers, so scoring stays inside the lock), and take the
-        //    shadow decisions segment candidates need.
-        std::unordered_set<std::uint64_t> mem_ids;
-        for (std::size_t t = 0; t < keys.size(); ++t) {
-          ++result.bucket_probes;
-          lane.mem->collect(t, keys[t], mem_ids, &table_slot_reads[t]);
-          for (const std::uint64_t pk : probes[t]) {
-            ++result.bucket_probes;
-            lane.mem->collect(t, pk, mem_ids, &table_slot_reads[t]);
-          }
-        }
-        for (const std::uint64_t id : mem_ids) {
-          scored.push_back(ScoredId{
-              id, hash::SparseSignature::jaccard(
-                      signature, *lane.mem->signature_of(id))});
-        }
-        for (const auto& ids : per_seg) {
-          for (const std::uint64_t id : ids) {
-            if (mem_shadowed.find(id) == mem_shadowed.end()) {
-              mem_shadowed.emplace(id, lane.mem->shadows(id));
+        // 3) Segment candidates, scored lock-free off the pinned immutable
+        //    list: the newest unshadowed mention owns the id (drops
+        //    tombstoned ids and stale duplicates in one rule).
+        for (std::size_t si = 0; si < per_seg.size(); ++si) {
+          for (const std::uint64_t id : per_seg[si]) {
+            if (mem_shadowed[id]) continue;
+            bool shadowed = false;
+            for (std::size_t sj = 0; sj < si && !shadowed; ++sj) {
+              shadowed = (*list)[sj]->shadows(id);
             }
+            if (shadowed) continue;
+            scored.push_back(ScoredId{
+                id, hash::SparseSignature::jaccard(
+                        signature, *(*list)[si]->signature_of(id))});
           }
         }
       }
 
-      // 3) Segment candidates, scored lock-free off the pinned immutable
-      //    list: the newest unshadowed mention owns the id (drops
-      //    tombstoned ids and stale duplicates in one rule).
-      for (std::size_t si = 0; si < per_seg.size(); ++si) {
-        for (const std::uint64_t id : per_seg[si]) {
-          if (mem_shadowed[id]) continue;
-          bool shadowed = false;
-          for (std::size_t sj = 0; sj < si && !shadowed; ++sj) {
-            shadowed = (*list)[sj]->shadows(id);
-          }
-          if (shadowed) continue;
-          scored.push_back(ScoredId{
-              id, hash::SparseSignature::jaccard(
-                      signature, *(*list)[si]->signature_of(id))});
-        }
+      // Per-table cost + Fig. 7 task shape, identical to the flat index
+      // (slot reads just accumulate across layers).
+      for (std::size_t t = 0; t < keys.size(); ++t) {
+        front_.charge_table(result, q.table_hash_s, table_slot_reads[t]);
+        slot_reads_total += table_slot_reads[t];
       }
+      probe_span.attr("bucket_probes",
+                      static_cast<double>(result.bucket_probes));
+      probe_span.attr("slot_reads", static_cast<double>(slot_reads_total));
+      probe_span.attr("segments_probed", static_cast<double>(segments_probed));
+      probe_span.attr("segments_skipped",
+                      static_cast<double>(segments_skipped));
+      probe_span.attr("candidates", static_cast<double>(scored.size()));
     }
-
-    // Per-table cost + Fig. 7 task shape, identical to the flat index
-    // (slot reads just accumulate across layers).
-    for (std::size_t t = 0; t < keys.size(); ++t) {
-      const double probe_cost =
-          config_.cost.ram_access_s *
-          static_cast<double>(table_slot_reads[t]);
-      result.cost.charge(hash_cost);
-      result.cost.charge_ram(config_.cost.ram_access_s, table_slot_reads[t]);
-      result.parallel_tasks.push_back(hash_cost + probe_cost);
-      slot_reads_total += table_slot_reads[t];
-    }
-    probe_span.attr("bucket_probes",
-                    static_cast<double>(result.bucket_probes));
-    probe_span.attr("slot_reads", static_cast<double>(slot_reads_total));
-    probe_span.attr("segments_probed", static_cast<double>(segments_probed));
-    probe_span.attr("segments_skipped",
-                    static_cast<double>(segments_skipped));
-    probe_span.attr("candidates", static_cast<double>(scored.size()));
-  }
-  m_.chs_slot_reads->add(slot_reads_total);
-  m_.tier_segment_skips->add(segments_skipped);
-
-  result.candidates = scored.size();
-  {
-    util::TraceSpan rank_span("rank");
+    m_.tier_segment_skips->add(segments_skipped);
+    return slot_reads_total;
+  };
+  const auto score = [&](QueryResult& result) {
     result.hits = std::move(scored);
-    result.cost.charge_ram(config_.cost.ram_access_s, result.candidates);
-    for (std::size_t c = 0; c < result.candidates; ++c) {
-      result.parallel_tasks.push_back(config_.cost.ram_access_s);
-    }
-    const std::size_t keep = std::min(k, result.hits.size());
-    std::partial_sort(result.hits.begin(),
-                      result.hits.begin() + static_cast<std::ptrdiff_t>(keep),
-                      result.hits.end(),
-                      [](const ScoredId& a, const ScoredId& b) {
-                        if (a.score != b.score) return a.score > b.score;
-                        return a.id < b.id;  // deterministic tie-break
-                      });
-    result.hits.resize(keep);
-    rank_span.attr("candidates", static_cast<double>(result.candidates));
-    rank_span.attr("hits", static_cast<double>(result.hits.size()));
-  }
-  m_.queries->add();
-  m_.chs_bucket_probes->observe(static_cast<double>(result.bucket_probes));
-  m_.chs_candidates->observe(static_cast<double>(result.candidates));
-  m_.query_sim_s->observe(result.cost.elapsed_s());
+  };
+  QueryResult result = front_.query(signature, k, probe, score);
   m_.query_wall_s->observe(wall_timer.elapsed_seconds());
-
-  qspan.attr("k", static_cast<double>(k));
-  qspan.attr("hits", static_cast<double>(result.hits.size()));
-  qspan.attr("candidates", static_cast<double>(result.candidates));
-  qspan.attr("bucket_probes", static_cast<double>(result.bucket_probes));
-  if (profiling) {
-    util::QueryProfile profile;
-    profile.request_id = qspan.request_id();
-    profile.sampled = qspan.active();
-    profile.start_s = profile_start_s;
-    profile.wall_s = wall_timer.elapsed_seconds();
-    profile.sa_keys_s = keys_s;
-    profile.probe_rank_s = profile.wall_s - keys_s;
-    profile.k = k;
-    profile.hits = result.hits.size();
-    profile.candidates = result.candidates;
-    profile.bucket_probes = result.bucket_probes;
-    profile.probe_keys = probe_keys;
-    profile.slot_reads = slot_reads_total;
-    tracer.record_query(profile);
-  }
   return result;
 }
 
@@ -929,40 +693,22 @@ void TieredIndex::for_each_live_signature(
 
 storage::Status TieredIndex::sync_wal() {
   std::lock_guard<std::mutex> lk(wal_mutex_);
-  if (!durable() || appends_since_sync_ == 0) return storage::Status{};
-  storage::Status s = wal_->sync();
-  if (s.ok()) {
-    appends_since_sync_ = 0;
-    m_.wal_syncs->add();
-  }
-  return s;
+  return log_.sync();
 }
 
 void TieredIndex::wal_log(std::uint8_t type, std::uint64_t id,
                           std::span<const std::uint8_t> payload) {
   std::lock_guard<std::mutex> lk(wal_mutex_);
-  const std::uint64_t seq = wal_->next_seq();
-  storage::Status s = wal_->append(type, id, payload);
-  if (s.ok() && ++appends_since_sync_ >= wal_sync_every_) {
-    s = wal_->sync();
-    if (s.ok()) {
-      appends_since_sync_ = 0;
-      m_.wal_syncs->add();
-    }
-  }
-  if (!s.ok()) throw storage::IoError(std::move(s));
-  m_.wal_appends->add();
-  m_.wal_bytes->add(4 + 4 + 8 + 1 + 8 + payload.size());
-  last_seq_ = seq;
+  log_.append(type, id, payload);
 }
 
 storage::SnapshotFile TieredIndex::build_snapshot_locked() const {
   storage::SnapshotFile snapshot;
-  snapshot.config_fingerprint = config_fingerprint(config_);
-  snapshot.last_seq = last_seq_;
+  snapshot.config_fingerprint = config_fingerprint(front_.config());
+  snapshot.last_seq = log_.last_seq();
 
   util::ByteWriter params;
-  params.f64(config_.lsh_input_scale);
+  params.f64(front_.config().lsh_input_scale);
   params.u64(next_segment_id_.load(std::memory_order_relaxed));
   params.u64(lanes_.size());
   snapshot.sections.push_back({storage::kSectionParams, params.take()});
@@ -1001,10 +747,7 @@ storage::SnapshotFile TieredIndex::build_snapshot_locked() const {
 }
 
 storage::Status TieredIndex::save_snapshot() {
-  if (!durable()) {
-    return storage::Status::error(storage::StatusCode::kIoError,
-                                  "save_snapshot on a non-durable index");
-  }
+  if (!durable()) return DurableLog::not_durable();
   util::TraceSpan span("snapshot.save");
   util::WallTimer timer;
   // Quiesce maintenance first: the background worker splices segment lists
@@ -1019,29 +762,17 @@ storage::Status TieredIndex::save_snapshot() {
   // section), so the orders cannot cycle.
   std::lock_guard<std::mutex> maintenance(compaction_mutex_);
   // Quiesce writers: every lane lock, in index order. The WAL cannot
-  // advance without a lane lock held, so last_seq_ is stable below.
+  // advance without a lane lock held, so last_seq() is stable below.
   std::vector<std::unique_lock<std::shared_mutex>> locks;
   locks.reserve(lanes_.size());
   for (auto& lane : lanes_) locks.emplace_back(lane->mem_mutex);
 
   const storage::SnapshotFile snapshot = build_snapshot_locked();
-  auto published = storage::write_snapshot(*env_, dir_, snapshot);
-  if (!published.ok()) return published.status();
-
-  std::size_t image_bytes = 32;  // header
-  for (const auto& section : snapshot.sections) {
-    image_bytes += 12 + section.payload.size();
-  }
-  span.attr("bytes", static_cast<double>(image_bytes + 12));
   span.attr("sections", static_cast<double>(snapshot.sections.size()));
-  m_.snapshot_bytes->set(static_cast<double>(image_bytes + 12));
-  m_.snapshot_write_s->observe(timer.elapsed_seconds());
-
-  storage::Status rotated =
-      storage::rotate_wal_and_retire(*env_, dir_, snapshot.last_seq, &wal_);
-  if (!rotated.ok()) return rotated;
-  appends_since_sync_ = 0;
-  return storage::Status{};
+  // wal_mutex_ (after the lane locks, the append order) keeps a concurrent
+  // sync_wal() off the writer while the WAL rotates.
+  std::lock_guard<std::mutex> wal(wal_mutex_);
+  return log_.publish(snapshot, span, timer);
 }
 
 bool TieredIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
@@ -1075,16 +806,16 @@ bool TieredIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
       util::ByteReader in{std::span(section.payload)};
       const std::uint64_t l = in.u64();
       if (!in.ok() || l >= lane_count || mems[l] != nullptr) return false;
-      // mem_config_, not config_: restored memtables should start at the
+      // mem_config_, not config(): restored memtables should start at the
       // same pre-expanded capacity the seal path hands out.
       auto mem = std::make_unique<MemtableIndex>(mem_config_, tables_);
-      if (!mem->deserialize(in, config_.bloom_bits)) return false;
+      if (!mem->deserialize(in, front_.config().bloom_bits)) return false;
       mems[l] = std::move(mem);
     } else if (section.id == storage::kSectionTierSegment) {
       util::ByteReader in{std::span(section.payload)};
       const std::uint64_t l = in.u64();
       if (!in.ok() || l >= lane_count) return false;
-      auto seg = ImmutableSegment::deserialize(in, config_, tables_);
+      auto seg = ImmutableSegment::deserialize(in, front_.config(), tables_);
       if (seg == nullptr) return false;
       segs.emplace(seg->id(), std::move(seg));
     }
@@ -1094,7 +825,7 @@ bool TieredIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
   }
 
   // Adopt the snapshot's lane geometry: the id -> lane mapping is baked into
-  // the layout, so the manifest wins over config_.tier.lanes.
+  // the layout, so the manifest wins over config().tier.lanes.
   std::vector<std::unique_ptr<Lane>> lanes;
   lanes.reserve(lane_count);
   for (std::size_t l = 0; l < lane_count; ++l) {
@@ -1111,7 +842,7 @@ bool TieredIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
     lanes.push_back(std::move(lane));
   }
   lanes_ = std::move(lanes);
-  config_.tier.lanes = lanes_.size();
+  front_.set_tier_lanes(lanes_.size());
   m_.tier_lanes->set(static_cast<double>(lanes_.size()));
   // Never hand out an id a restored segment already carries: a snapshot
   // written while compaction was splicing could contain a segment numbered
@@ -1122,8 +853,7 @@ bool TieredIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
     next_id = std::max(next_id, seg_id + 1);
   }
   next_segment_id_.store(next_id, std::memory_order_relaxed);
-  config_.lsh_input_scale = input_scale;
-  aggregator_->set_input_scale(input_scale);
+  front_.set_input_scale(input_scale);
 
   std::int64_t mem_entries = 0;
   std::int64_t mem_tombstones = 0;
@@ -1133,160 +863,49 @@ bool TieredIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
   }
   mem_entries_.store(mem_entries, std::memory_order_relaxed);
   mem_tombstones_.store(mem_tombstones, std::memory_order_relaxed);
-  live_.store(count_live(), std::memory_order_relaxed);
+  // Live ids under the newest-mention rule, counted by the same walk the
+  // sharded facade uses to rebuild its routing summaries.
+  std::size_t live = 0;
+  for_each_live_signature(
+      [&live](std::uint64_t, const hash::SparseSignature&) { ++live; });
+  live_.store(live, std::memory_order_relaxed);
   publish_tier_gauges();
   return true;
 }
 
-std::size_t TieredIndex::count_live() const {
-  std::size_t live = 0;
-  for (const auto& lane : lanes_) {
-    live += lane->mem->entries();
-    const auto list = lane->segments.load();
-    for (std::size_t si = 0; si < list->size(); ++si) {
-      for (const std::uint64_t id : (*list)[si]->state().sorted_ids()) {
-        if (lane->mem->shadows(id)) continue;
-        bool shadowed = false;
-        for (std::size_t sj = 0; sj < si && !shadowed; ++sj) {
-          shadowed = (*list)[sj]->shadows(id);
-        }
-        if (!shadowed) ++live;
-      }
-    }
-  }
-  return live;
-}
-
 storage::StatusOr<std::unique_ptr<TieredIndex>> TieredIndex::open_or_recover(
     FastConfig config, vision::PcaModel pca, const DurabilityOptions& opts,
-    RecoveryStats* stats_out) {
+    RecoveryStats* stats) {
   FAST_CHECK_MSG(config.tier.enabled,
                  "TieredIndex::open_or_recover needs tier.enabled");
-  util::TraceSpan span("recovery.open");
-  RecoveryStats stats;
-  storage::Env& env = opts.env != nullptr ? *opts.env : storage::Env::posix();
-  storage::Status s = env.make_dirs(opts.dir);
-  if (!s.ok()) return s;
-  auto names = env.list_dir(opts.dir);
-  if (!names.ok()) return names.status();
-
-  std::vector<std::uint64_t> snapshot_seqs;
-  std::vector<std::uint64_t> wal_seqs;
-  for (const std::string& name : names.value()) {
-    std::uint64_t seq = 0;
-    if (storage::parse_snapshot_file_name(name, &seq)) {
-      snapshot_seqs.push_back(seq);
-    } else if (storage::parse_wal_segment_name(name, &seq)) {
-      wal_seqs.push_back(seq);
-    }
-  }
-  std::sort(snapshot_seqs.rbegin(), snapshot_seqs.rend());  // newest first
-  std::sort(wal_seqs.begin(), wal_seqs.end());
-
-  const std::uint64_t want_fingerprint = config_fingerprint(config);
+  // Replay runs with no worker (maintenance inline, deterministic); the
+  // worker starts once the index is recovered.
   std::unique_ptr<TieredIndex> index;
-  for (const std::uint64_t seq : snapshot_seqs) {
-    const std::string path =
-        opts.dir + "/" + storage::snapshot_file_name(seq);
-    auto snapshot = storage::read_snapshot(env, path);
-    if (!snapshot.ok()) {
-      switch (snapshot.status().code()) {
-        case storage::StatusCode::kCorrupt:
-        case storage::StatusCode::kBadMagic:
-          ++stats.snapshots_skipped;
-          continue;
-        default:
-          return snapshot.status();
-      }
-    }
-    if (snapshot.value().config_fingerprint != want_fingerprint) {
-      return storage::Status::error(
-          storage::StatusCode::kConfigMismatch,
-          "snapshot " + path +
-              " was written under a different pipeline geometry");
-    }
+  RecoveryHooks hooks;
+  hooks.restore = [&](const storage::SnapshotFile* snapshot) -> DurableLog* {
     std::unique_ptr<TieredIndex> candidate(
         new TieredIndex(config, pca, /*start_worker=*/false));
-    if (!candidate->restore_snapshot(snapshot.value())) {
-      ++stats.snapshots_skipped;
-      continue;
+    if (snapshot != nullptr && !candidate->restore_snapshot(*snapshot)) {
+      return nullptr;
     }
-    candidate->last_seq_ = snapshot.value().last_seq;
-    stats.loaded_snapshot = true;
-    stats.snapshot_seq = snapshot.value().last_seq;
     index = std::move(candidate);
-    break;
-  }
-  if (index == nullptr) {
-    index.reset(new TieredIndex(config, pca, /*start_worker=*/false));
-  }
-
-  for (const std::uint64_t seq : wal_seqs) {
-    const std::string path = opts.dir + "/" + storage::wal_segment_name(seq);
-    auto segment = storage::read_wal_segment(env, path);
-    if (!segment.ok()) return segment.status();
-    ++stats.segments_scanned;
-    if (segment.value().torn) stats.wal_torn = true;
-    for (const storage::WalRecord& record : segment.value().records) {
-      if (record.seq <= index->last_seq_) continue;  // inside the snapshot
-      if (record.seq != index->last_seq_ + 1) {
-        return storage::Status::error(
-            storage::StatusCode::kCorrupt,
-            "WAL gap: expected seq " + std::to_string(index->last_seq_ + 1) +
-                ", segment " + path + " continues at " +
-                std::to_string(record.seq));
-      }
-      switch (record.type) {
-        case storage::kWalRecordInsert: {
-          try {
-            hash::SparseSignature sig =
-                hash::SparseSignature::decode(record.payload);
-            if (sig.bit_count() != index->config_.bloom_bits) {
-              return storage::Status::error(
-                  storage::StatusCode::kCorrupt,
-                  "WAL insert payload has the wrong signature width");
-            }
-            index->insert_internal(record.id, sig, /*log=*/false);
-          } catch (const std::runtime_error& e) {
-            return storage::Status::error(
-                storage::StatusCode::kCorrupt,
-                std::string("undecodable WAL insert payload: ") + e.what());
-          }
-          break;
-        }
-        case storage::kWalRecordErase:
-          index->erase_internal(record.id, /*log=*/false);
-          break;
-        default:
-          return storage::Status::error(
-              storage::StatusCode::kCorrupt,
-              "unknown WAL record type " + std::to_string(record.type));
-      }
-      index->last_seq_ = record.seq;
-      ++stats.replayed_records;
+    return &index->log_;
+  };
+  hooks.apply = [&](std::uint64_t id, const hash::SparseSignature* sig) {
+    if (sig != nullptr) {
+      index->insert_internal(id, *sig, /*log=*/false);
+    } else {
+      index->erase_internal(id, /*log=*/false);
     }
-  }
-  index->m_.recovery_replayed_records->add(stats.replayed_records);
-  index->m_.recovery_snapshots_skipped->add(stats.snapshots_skipped);
-  span.attr("replayed_records", static_cast<double>(stats.replayed_records));
-  span.attr("snapshots_skipped",
-            static_cast<double>(stats.snapshots_skipped));
-  span.attr("segments_scanned", static_cast<double>(stats.segments_scanned));
-
-  auto writer =
-      storage::WalWriter::create(env, opts.dir, index->last_seq_ + 1);
-  if (!writer.ok()) return writer.status();
-  index->env_ = &env;
-  index->dir_ = opts.dir;
-  index->wal_sync_every_ = std::max<std::size_t>(opts.wal_sync_every, 1);
-  index->wal_ = std::move(writer).value();
-  if (index->config_.tier.background) {
+  };
+  storage::Status s = recover(config, opts, hooks, stats);
+  if (!s.ok()) return s;
+  if (index->config().tier.background) {
     index->worker_ = std::thread(&TieredIndex::worker_loop, index.get());
   }
   // Segments restored without a finalized bloom (sealed pre-crash, never
   // finalized) get their summary rebuilt by the first maintenance pass.
   if (index->segment_count() > 0) index->schedule_maintenance();
-  if (stats_out != nullptr) *stats_out = stats;
   return index;
 }
 

@@ -23,11 +23,13 @@
 // query results are identical to a single flat FastIndex holding the same
 // live set — tier_test asserts hit-and-score equality.
 //
-// Durability reuses the PR 4 substrate unchanged: one global WAL (records
-// logged under the lane lock so per-lane apply order equals sequence
-// order), and full-tier snapshots — manifest of live segments per lane +
-// one CRC-framed section per memtable and segment — written via the
-// snapshot codec with the same rotation/retention as FastIndex.
+// FE+SM, SA key derivation and the query scaffold (ranking, metrics,
+// QueryProfile) come from the shared IndexFront, exactly as for FastIndex.
+// Durability is the shared DurableLog and recover() driver: one global WAL
+// (records logged under the lane lock so per-lane apply order equals
+// sequence order), and full-tier snapshots — manifest of live segments per
+// lane + one CRC-framed section per memtable and segment — with the same
+// rotation/retention as FastIndex.
 #pragma once
 
 #include <atomic>
@@ -39,31 +41,20 @@
 #include <optional>
 #include <shared_mutex>
 #include <span>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/durability.hpp"
 #include "core/index_backend.hpp"
+#include "core/index_front.hpp"
 #include "core/memtable_index.hpp"
-#include "core/pipeline/semantic_aggregator.hpp"
-#include "core/pipeline/summarizer.hpp"
 #include "core/result.hpp"
 #include "core/segment.hpp"
 #include "hash/sparse_signature.hpp"
 #include "img/image.hpp"
 #include "storage/snapshot.hpp"
-#include "storage/wal.hpp"
 #include "vision/pca.hpp"
-
-namespace fast::util {
-class ThreadPool;
-class MetricsRegistry;
-class Counter;
-class Gauge;
-class Histogram;
-}
 
 namespace fast::core {
 
@@ -86,7 +77,6 @@ class TieredIndex final : public IndexBackend {
       FastConfig config, vision::PcaModel pca, const DurabilityOptions& opts,
       RecoveryStats* stats = nullptr);
 
-  const FastConfig& config() const noexcept override { return config_; }
   /// Live images (inserted and not erased), across all layers.
   std::size_t size() const noexcept override {
     return live_.load(std::memory_order_relaxed);
@@ -96,22 +86,13 @@ class TieredIndex final : public IndexBackend {
   /// Tombstones still pending compaction (memtables + segments).
   std::size_t tombstone_count() const;
   std::size_t index_bytes() const override;
-  util::MetricsRegistry& metrics() const noexcept override {
-    return *metrics_;
-  }
 
-  bool durable() const noexcept override { return wal_ != nullptr; }
+  bool durable() const noexcept override { return log_.durable(); }
   std::uint64_t last_seq() const;
 
-  // --- FE + SM (identical to FastIndex) ---
-  hash::SparseSignature summarize(const img::Image& image) const override;
-  sim::SimClock frontend_insert_cost() const noexcept override;
-  void calibrate_scale(std::span<const hash::SparseSignature> sample_queries,
-                       std::span<const hash::SparseSignature> corpus_sample,
-                       util::ThreadPool* pool = nullptr);
+  const IndexFront& front() const noexcept override { return front_; }
 
   // --- Mutations ---
-  InsertResult insert(std::uint64_t id, const img::Image& image) override;
   InsertResult insert_signature(
       std::uint64_t id, const hash::SparseSignature& signature) override;
   /// FE+SM fans across `pool`; placement runs in item order.
@@ -126,11 +107,8 @@ class TieredIndex final : public IndexBackend {
   std::size_t erase_batch(std::span<const std::uint64_t> ids) override;
 
   // --- Queries ---
-  QueryResult query(const img::Image& image, std::size_t k) const override;
   QueryResult query_signature(const hash::SparseSignature& signature,
                               std::size_t k) const override;
-  QueryResult query_summarized(const hash::SparseSignature& signature,
-                               std::size_t k) const;
   std::vector<QueryResult> query_batch(
       std::span<const img::Image* const> images, std::size_t k,
       util::ThreadPool* pool = nullptr) const override;
@@ -174,23 +152,10 @@ class TieredIndex final : public IndexBackend {
     std::mutex publish_mutex;
   };
 
+  /// Instruments of the tiered layout; the shared ones live in
+  /// IndexFront::Instruments and DurableLog.
   struct TierMetrics {
-    util::Counter* fe_sm_images = nullptr;
-    util::Histogram* fe_sm_summarize_s = nullptr;
-    util::Counter* inserts = nullptr;
-    util::Counter* erases = nullptr;
-    util::Counter* queries = nullptr;
-    util::Histogram* insert_sim_s = nullptr;
-    util::Histogram* query_sim_s = nullptr;
     util::Histogram* query_wall_s = nullptr;
-    util::Counter* sa_keys_derived = nullptr;
-    util::Counter* sa_insert_hash_ops = nullptr;
-    util::Histogram* sa_keys_wall_s = nullptr;
-    util::Histogram* sa_probe_keys = nullptr;
-    util::Counter* chs_slot_reads = nullptr;
-    util::Histogram* chs_bucket_probes = nullptr;
-    util::Histogram* chs_candidates = nullptr;
-    util::Gauge* index_size = nullptr;
     util::Gauge* tier_lanes = nullptr;
     util::Gauge* tier_memtable_entries = nullptr;
     util::Gauge* tier_tombstones = nullptr;
@@ -202,13 +167,6 @@ class TieredIndex final : public IndexBackend {
     util::Histogram* compaction_merge_s = nullptr;
     util::Histogram* compaction_merge_entries = nullptr;
     util::Histogram* compaction_merged_segments = nullptr;
-    util::Counter* wal_appends = nullptr;
-    util::Counter* wal_bytes = nullptr;
-    util::Counter* wal_syncs = nullptr;
-    util::Histogram* snapshot_write_s = nullptr;
-    util::Gauge* snapshot_bytes = nullptr;
-    util::Counter* recovery_replayed_records = nullptr;
-    util::Counter* recovery_snapshots_skipped = nullptr;
   };
 
   TieredIndex(FastConfig config, vision::PcaModel pca, bool start_worker);
@@ -249,18 +207,16 @@ class TieredIndex final : public IndexBackend {
                        std::shared_ptr<const ImmutableSegment> replacement);
   void publish_tier_gauges();
 
+  /// log_.append under wal_mutex_ (caller holds the record's lane lock).
   void wal_log(std::uint8_t type, std::uint64_t id,
                std::span<const std::uint8_t> payload);
   storage::SnapshotFile build_snapshot_locked() const;
   bool restore_snapshot(const storage::SnapshotFile& snapshot);
-  std::size_t count_live() const;
 
-  FastConfig config_;
-  /// config_ with the cuckoo store pre-sized for one seal interval, so a
+  IndexFront front_;
+  /// config() with the cuckoo store pre-sized for one seal interval, so a
   /// replacement memtable does not re-pay proactive doubling every cycle.
   FastConfig mem_config_;
-  std::unique_ptr<pipeline::Summarizer> summarizer_;
-  std::unique_ptr<pipeline::SemanticAggregator> aggregator_;
   std::size_t tables_ = 0;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::atomic<std::size_t> live_{0};
@@ -271,19 +227,14 @@ class TieredIndex final : public IndexBackend {
   std::atomic<std::int64_t> mem_entries_{0};
   std::atomic<std::int64_t> mem_tombstones_{0};
 
-  std::shared_ptr<util::MetricsRegistry> metrics_;
   TierMetrics m_;
 
-  // Durability (null/zero for a purely in-memory tier). Lock order is
-  // lane.mem_mutex -> wal_mutex_; the snapshot path takes every lane lock
-  // (in index order) first, which also quiesces the WAL.
-  storage::Env* env_ = nullptr;
-  std::string dir_;
-  std::size_t wal_sync_every_ = 1;
+  // Durability (inert for a purely in-memory tier). wal_mutex_ serializes
+  // log_ appends, syncs and the snapshot publish; lock order is
+  // lane.mem_mutex -> wal_mutex_, and the snapshot path takes every lane
+  // lock (in index order) first, which also quiesces appends.
   mutable std::mutex wal_mutex_;
-  std::unique_ptr<storage::WalWriter> wal_;
-  std::uint64_t last_seq_ = 0;
-  std::size_t appends_since_sync_ = 0;
+  DurableLog log_;
 
   // Background maintenance. compaction_mutex_ serializes whole passes
   // (worker vs explicit compact_once); work_mutex_ guards the wake flags.

@@ -268,10 +268,11 @@ void Server::stop() {
   };
   // 1. Stop admitting: new frames answer kShuttingDown, and the I/O thread
   //    closes the listen socket at its next wakeup. A test-held worker
-  //    pool is released — drain must always make progress.
-  draining_.store(true, std::memory_order_release);
+  //    pool is released — drain must always make progress. draining_ flips
+  //    under work_mutex_, where handle_frame counts and queues a frame.
   {
     std::lock_guard<std::mutex> lk(work_mutex_);
+    draining_.store(true, std::memory_order_release);
     workers_held_ = false;
   }
   work_cv_.notify_all();
@@ -296,6 +297,12 @@ void Server::stop() {
   io_stop_.store(true, std::memory_order_release);
   kick();
   io_thread_.join();
+  // Quiescent: republish the exact counts, since gauge writes from
+  // concurrent threads can land out of order.
+  m_inflight_->set(static_cast<double>(admitted_.load()));
+  for (std::size_t i = 0; i < 2; ++i) {
+    m_lane_depth_[i]->set(static_cast<double>(lane_depth_[i].load()));
+  }
   // 5. Acked writes hit disk before we return: fsync the WAL group-commit
   //    tail through the facade.
   if (engine_.durable()) {
@@ -524,13 +531,16 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn,
   peek_header(body, &reject.op, &reject.seq);
   const Lane lane = lane_of(reject.op);
   const std::size_t lane_idx = static_cast<std::size_t>(lane);
-  if (draining_.load(std::memory_order_acquire)) {
+  const auto reject_draining = [&] {
     reject.status = Status::kShuttingDown;
     reject.retry_after_ms = current_retry_after_ms(lane);
     reject.text = "shutting down";
     m_rejected_draining_->add();
     m_retry_after_ms_->observe(static_cast<double>(reject.retry_after_ms));
     send_response(conn, reject);
+  };
+  if (draining_.load(std::memory_order_acquire)) {
+    reject_draining();
     return;
   }
   // kHello binds the connection's tenant inline on the I/O thread: it is
@@ -568,16 +578,25 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn,
     send_response(conn, reject);
     return;
   }
-  conn->inflight.fetch_add(1, std::memory_order_relaxed);
-  tenant.inflight.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t inflight =
-      admitted_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  m_inflight_->set(static_cast<double>(inflight));
-  const std::size_t depth =
-      lane_depth_[lane_idx].fetch_add(1, std::memory_order_acq_rel) + 1;
-  m_lane_depth_[lane_idx]->set(static_cast<double>(depth));
   {
-    std::lock_guard<std::mutex> lk(work_mutex_);
+    // Counted and queued under work_mutex_, where stop() flips draining_:
+    // a frame is either counted in admitted_ before stop() looks (and is
+    // drained) or sees draining_ here and is rejected, never queued after
+    // the workers joined.
+    std::unique_lock<std::mutex> lk(work_mutex_);
+    if (draining_.load(std::memory_order_relaxed)) {
+      lk.unlock();
+      reject_draining();
+      return;
+    }
+    conn->inflight.fetch_add(1, std::memory_order_relaxed);
+    tenant.inflight.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t inflight =
+        admitted_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    m_inflight_->set(static_cast<double>(inflight));
+    const std::size_t depth =
+        lane_depth_[lane_idx].fetch_add(1, std::memory_order_acq_rel) + 1;
+    m_lane_depth_[lane_idx]->set(static_cast<double>(depth));
     WorkItem item{conn, conn->tenant, lane, std::move(body),
                   std::chrono::steady_clock::now(),
                   (conn->caps & kCapServerTiming) != 0};

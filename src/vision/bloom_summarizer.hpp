@@ -1,14 +1,14 @@
-// Summarizer adapter: DoG interest points + PCA-SIFT descriptors (FE)
-// folded into a per-image Bloom membership summary (SM), stored sparsely at
-// ~40 B/image. This is the FE+SM stage of the paper's pipeline, factored
-// out of the index so the batch execution path can fan it across a thread
-// pool and so alternative front ends (GPU extraction, mobile-shipped
-// signatures) can slot in behind the same interface.
+// The FE+SM stage of the paper's pipeline: DoG interest points + PCA-SIFT
+// descriptors (FE) folded into a per-image Bloom membership summary (SM),
+// stored sparsely at ~40 B/image. Stateless with respect to the corpus
+// (const summarize), so the batch execution path can fan it across a
+// thread pool before any index lock is taken.
 #pragma once
 
 #include <cstdint>
 
-#include "core/pipeline/summarizer.hpp"
+#include "hash/sparse_signature.hpp"
+#include "img/image.hpp"
 #include "vision/dog_detector.hpp"
 #include "vision/pca.hpp"
 #include "vision/pca_sift.hpp"
@@ -26,15 +26,14 @@ struct BloomSummarizerConfig {
   double spatial_cell_px = 32.0;        ///< coarse keypoint-position cell
 };
 
-class BloomSummarizer final : public core::pipeline::Summarizer {
+class BloomSummarizer {
  public:
   /// `pca` is the PCA-SIFT eigenspace, trained offline on a corpus sample.
   BloomSummarizer(BloomSummarizerConfig config, PcaModel pca);
 
-  hash::SparseSignature summarize(const img::Image& image) const override;
-  std::size_t signature_bits() const noexcept override {
-    return config_.bloom_bits;
-  }
+  /// Extracts features from `image` and folds them into a sparse summary.
+  /// Deterministic and safe to call concurrently.
+  hash::SparseSignature summarize(const img::Image& image) const;
 
  private:
   BloomSummarizerConfig config_;

@@ -1,15 +1,13 @@
 // Batch-first execution path and stage composition: insert_batch /
 // query_batch must be indistinguishable from sequential per-item calls
 // (identical final index state, hits, scores, and cost accounting), and
-// the stage-injection constructor must compose caller-provided backends.
+// the CHS backend chosen by config must not change any answer.
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/fast_index.hpp"
-#include "core/pipeline/factory.hpp"
-#include "hash/group_stores.hpp"
 #include "test_helpers.hpp"
 #include "util/thread_pool.hpp"
 
@@ -116,27 +114,22 @@ TEST_F(PipelineTest, QueryBatchMatchesIndividualQueries) {
   }
 }
 
-TEST_F(PipelineTest, StageInjectionComposesCustomBackends) {
-  // Hand the index explicit stages — the config-driven factory is bypassed,
-  // so a chained store rides behind a MinHash aggregator even though the
-  // config says flat cuckoo.
-  FastConfig cfg = small_config();
-  auto summarizer = pipeline::make_summarizer(cfg, *pca_);
-  auto aggregator = pipeline::make_aggregator(cfg);
-  auto store = std::make_unique<hash::ChainedGroupStore>(
-      cfg.chained_buckets, cfg.cuckoo.seed, aggregator->table_count());
-  FastIndex injected(cfg, std::move(summarizer), std::move(aggregator),
-                     std::move(store));
-  FastIndex stock(cfg, *pca_);
+TEST_F(PipelineTest, ChainedStoreAnswersMatchFlatCuckoo) {
+  // Only the CHS backend differs: a chained store behind the same MinHash
+  // aggregator as the stock flat cuckoo store.
+  FastConfig chained_cfg = small_config();
+  chained_cfg.chs_backend = FastConfig::ChsBackend::kChained;
+  FastIndex chained(chained_cfg, *pca_);
+  FastIndex stock(small_config(), *pca_);
 
   const auto items = batch_of(12);
-  injected.insert_batch(items);
+  chained.insert_batch(items);
   stock.insert_batch(items);
-  EXPECT_EQ(injected.size(), stock.size());
+  EXPECT_EQ(chained.size(), stock.size());
   // Same aggregation keys + same group-assignment order => same answers,
   // independent of the storage backend.
   for (const auto& item : items) {
-    const QueryResult a = injected.query(*item.image, 3);
+    const QueryResult a = chained.query(*item.image, 3);
     const QueryResult b = stock.query(*item.image, 3);
     ASSERT_EQ(a.hits.size(), b.hits.size());
     for (std::size_t h = 0; h < a.hits.size(); ++h) {

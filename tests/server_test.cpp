@@ -22,6 +22,7 @@
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "test_helpers.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace fast::server {
@@ -617,6 +618,12 @@ TEST_F(ServerTest, ShutdownAnswersInFlightRequests) {
   // issued for dropped work.
   EXPECT_EQ(engine_->size(), static_cast<std::size_t>(ok));
   EXPECT_FALSE(server_->running());
+  // Nothing stays counted once stop() returns: a frame that raced past the
+  // draining check was either queued and drained or undone and rejected.
+  const auto gauges = engine_->metrics().snapshot().gauges;
+  EXPECT_EQ(gauges.at("server.inflight"), 0.0);
+  EXPECT_EQ(gauges.at("server.lane.query.queue_depth"), 0.0);
+  EXPECT_EQ(gauges.at("server.lane.bulk.queue_depth"), 0.0);
 }
 
 /// Capability negotiation end to end: a connection that asks for

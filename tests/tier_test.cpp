@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "core/sharded_index.hpp"
 #include "core/tiered_index.hpp"
 #include "test_helpers.hpp"
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fast::core {
@@ -125,6 +127,71 @@ TEST_F(TierTest, MatchesFlatIndexExactly) {
     const QueryResult b = flat.query_signature((*sigs_)[q], 10);
     expect_same_hits(a, b);
   }
+  // The image path (summarize, then each backend's signature query) agrees
+  // the same way.
+  for (const auto& photo : dataset_->photos) {
+    const QueryResult a = tiered.query(photo.image, 10);
+    const QueryResult b = flat.query(photo.image, 10);
+    expect_same_hits(a, b);
+  }
+}
+
+/// Every metric name an index registers.
+std::set<std::string> metric_names(const util::MetricsRegistry& registry) {
+  const util::MetricsSnapshot snap = registry.snapshot();
+  std::set<std::string> names;
+  for (const auto& entry : snap.counters) names.insert(entry.first);
+  for (const auto& entry : snap.gauges) names.insert(entry.first);
+  for (const auto& entry : snap.histograms) names.insert(entry.first);
+  return names;
+}
+
+/// Metric names after one insert, query and erase through `index`.
+template <typename Index>
+std::set<std::string> names_after_use(Index& index, const img::Image& image) {
+  index.insert(1, image);
+  index.query(image, 3);
+  index.erase(1);
+  return metric_names(index.metrics());
+}
+
+// Dashboards, perfbench and the fig benches read these names; the shared
+// instruments must neither drop nor add one for either backend.
+TEST_F(TierTest, MetricNamesPerBackendArePinned) {
+  const std::set<std::string> shared = {
+      "chs.bucket_probes_per_query", "chs.candidates_per_query",
+      "chs.slot_reads", "fe_sm.images", "fe_sm.summarize_s",
+      "index.erases", "index.insert_sim_s", "index.inserts",
+      "index.queries", "index.query_sim_s", "index.size",
+      "recovery.replayed_records", "recovery.snapshots_skipped",
+      "sa.insert_hash_ops", "sa.keys_derived", "sa.keys_wall_s",
+      "sa.probe_keys_per_query", "snapshot.bytes", "snapshot.write_s",
+      "wal.appends", "wal.bytes", "wal.syncs"};
+  std::set<std::string> flat = shared;
+  flat.insert({"chs.capacity_slots", "chs.fingerprint_false_hits",
+               "chs.group_creates", "chs.group_hits", "chs.insert_failures",
+               "chs.load_factor", "chs.max_kick_chain",
+               "chs.occupied_slots", "chs.rehash_events", "chs.store_bytes",
+               "chs.total_kicks", "index.groups"});
+  std::set<std::string> flat_backend = flat;
+  flat_backend.insert({"concurrent.erase_batch_size",
+                       "concurrent.insert_batch_size",
+                       "concurrent.query_batch_size",
+                       "concurrent.writer_locks"});
+  std::set<std::string> tiered = shared;
+  tiered.insert({"compaction.dropped_tombstones", "compaction.merge_entries",
+                 "compaction.merge_s", "compaction.merged_segments",
+                 "compaction.runs", "query.wall_s", "segment.count",
+                 "tier.lanes", "tier.memtable_entries", "tier.seals",
+                 "tier.segment_skips", "tier.tombstones"});
+
+  const img::Image& image = dataset_->photos[0].image;
+  FastIndex direct(flat_config(), *pca_);
+  EXPECT_EQ(names_after_use(direct, image), flat);
+  auto backend = make_backend(flat_config(), *pca_);
+  EXPECT_EQ(names_after_use(*backend, image), flat_backend);
+  TieredIndex tiered_index(tiered_config(), *pca_);
+  EXPECT_EQ(names_after_use(tiered_index, image), tiered);
 }
 
 TEST_F(TierTest, EraseAcrossSealLeavesTombstone) {
