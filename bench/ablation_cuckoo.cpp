@@ -1,18 +1,11 @@
 // Ablation — adjacent-neighborhood window size W in the flat cuckoo table
 // (DESIGN.md §5): insertion-failure probability at high load, probe count
 // per lookup, and achieved load ceiling. W=1 degenerates to (near-)standard
-// cuckoo; the paper's design sits around W=4.
-//
-// Second section — fingerprint compression (DESIGN.md §3h): the flat
-// full-key table vs the compact SoA table on an identical mixed hit/miss
-// lookup stream. Verifies bit-identical query results (parity) and reports
-// probe-path bytes per lookup, resident memory, and the fingerprint
-// false-hit rate. Exits nonzero if parity breaks or the probe-path byte
-// reduction falls under 4x.
+// cuckoo; the paper's design sits around W=4. Exits nonzero when the
+// paper's W=4 no longer sustains 95% load without a single failure.
 #include <cstdio>
 #include <cstdlib>
 
-#include "hash/compact_flat_cuckoo_table.hpp"
 #include "hash/flat_cuckoo_table.hpp"
 #include "hash/hashes.hpp"
 #include "util/table.hpp"
@@ -20,7 +13,14 @@
 namespace fast::bench {
 namespace {
 
-void run(std::size_t capacity, std::size_t trials) {
+/// The W=4 zero-failure load the sweep must reach (a regression gate on
+/// the windowed insert path; the full sweep measures about 97.5%).
+constexpr std::size_t kGateWindow = 4;
+constexpr double kGateLoad = 0.95;
+
+/// Prints the window table; returns W=4's max sustainable load.
+double run(std::size_t capacity, std::size_t trials) {
+  double gate_load = 0;
   util::Table table({"window W", "probes/lookup", "fail@70%", "fail@85%",
                      "fail@95%", "max sustainable load"});
   for (std::size_t window : {1, 2, 4, 8}) {
@@ -59,8 +59,7 @@ void run(std::size_t capacity, std::size_t trials) {
       }
       if (ok) max_load = load;
     }
-    hash::FlatCuckooConfig pc;
-    pc.window = window;
+    if (window == kGateWindow) gate_load = max_load;
     table.add_row({std::to_string(window),
                    std::to_string(2 * window),
                    util::fmt_sci(rates[0]), util::fmt_sci(rates[1]),
@@ -68,73 +67,7 @@ void run(std::size_t capacity, std::size_t trials) {
                    util::fmt_percent(max_load, 1)});
   }
   table.print("Ablation — neighborhood window of the flat cuckoo table");
-}
-
-/// Flat vs fingerprint-compressed backend on the same key stream: parity of
-/// every insert/find outcome plus the probe-path roofline. Returns false on
-/// a parity break or a bytes-per-lookup reduction below `min_ratio`.
-bool run_compact(std::size_t capacity, double min_ratio) {
-  hash::FlatCuckooConfig cfg;
-  cfg.capacity = capacity;
-  cfg.seed = 0xc0ffee;
-  hash::FlatCuckooTable flat(cfg);
-  hash::CompactFlatCuckooTable compact(cfg);
-
-  // Fill to 75% with identical streams; parity covers insert outcomes too.
-  const std::size_t items = capacity * 3 / 4;
-  bool parity = true;
-  for (std::size_t i = 0; i < items; ++i) {
-    const std::uint64_t key = hash::mix64(0xf00d ^ (i * 0x9e3779b97f4a7c15ULL));
-    parity &= flat.insert(key, i) == compact.insert(key, i);
-  }
-  parity &= flat.size() == compact.size();
-
-  // Mixed lookup stream: half resident keys, half absent keys.
-  hash::ProbeProfile flat_profile, compact_profile;
-  const std::size_t lookups = 4 * items;
-  std::size_t hits = 0;
-  for (std::size_t i = 0; i < lookups; ++i) {
-    const std::uint64_t key =
-        (i & 1) ? hash::mix64(0xdead ^ (i * 0x9e3779b97f4a7c15ULL))
-                : hash::mix64(0xf00d ^ ((i / 2 % items) * 0x9e3779b97f4a7c15ULL));
-    const auto f = flat.find(key, &flat_profile);
-    const auto c = compact.find(key, &compact_profile);
-    parity &= f == c;
-    hits += f.has_value();
-  }
-
-  const auto per = [&](const hash::ProbeProfile& p) {
-    return static_cast<double>(p.bytes_touched) /
-           static_cast<double>(lookups);
-  };
-  const double flat_bytes = per(flat_profile);
-  const double compact_bytes = per(compact_profile);
-  const double ratio = compact_bytes > 0 ? flat_bytes / compact_bytes : 0;
-  const double false_hit_rate =
-      static_cast<double>(compact_profile.fingerprint_false_hits) /
-      static_cast<double>(lookups);
-
-  util::Table table({"backend", "bytes/lookup", "slots/lookup",
-                     "fp false hits/lookup", "resident bytes"});
-  table.add_row({"flat", util::fmt_sci(flat_bytes),
-                 util::fmt_sci(static_cast<double>(flat_profile.slots_scanned) /
-                               static_cast<double>(lookups)),
-                 "0", std::to_string(flat.memory_bytes())});
-  table.add_row(
-      {"flat_compact", util::fmt_sci(compact_bytes),
-       util::fmt_sci(static_cast<double>(compact_profile.slots_scanned) /
-                     static_cast<double>(lookups)),
-       util::fmt_sci(false_hit_rate), std::to_string(compact.memory_bytes())});
-  table.print("Ablation — fingerprint-compressed probe path (hits " +
-              std::to_string(hits) + "/" + std::to_string(lookups) + ")");
-
-  const bool ok = parity && ratio >= min_ratio && false_hit_rate < 0.05;
-  std::printf(
-      "compact probe path: bytes/lookup %.1fB -> %.1fB (%.1fx), "
-      "fp_false_hit_rate=%.4f, parity=%s -> %s\n",
-      flat_bytes, compact_bytes, ratio, false_hit_rate,
-      parity ? "OK" : "BROKEN", ok ? "OK" : "FAIL");
-  return ok;
+  return gate_load;
 }
 
 }  // namespace
@@ -146,6 +79,11 @@ int main(int argc, char** argv) {
   std::size_t trials = 6;
   if (argc > 1) capacity = static_cast<std::size_t>(std::atoi(argv[1]));
   if (argc > 2) trials = static_cast<std::size_t>(std::atoi(argv[2]));
-  fast::bench::run(capacity, trials);
-  return fast::bench::run_compact(capacity, /*min_ratio=*/4.0) ? 0 : 1;
+  const double gate_load = fast::bench::run(capacity, trials);
+  // The sweep steps by 0.025 in floating point; allow for its rounding.
+  const bool ok = gate_load + 1e-9 >= fast::bench::kGateLoad;
+  std::printf("W=%zu max sustainable load %.1f%% (gate >= %.0f%%) -> %s\n",
+              fast::bench::kGateWindow, 100.0 * gate_load,
+              100.0 * fast::bench::kGateLoad, ok ? "OK" : "FAIL");
+  return ok ? 0 : 1;
 }

@@ -1,15 +1,13 @@
 // Google-benchmark micro suite for the hashing substrate: raw hash
 // functions, Bloom operations, sparse-signature algebra, LSH backends and
-// the cuckoo tables (standard vs flat vs fingerprint-compressed). The find
-// benches publish roofline counters — bytes_per_lookup and
-// slots_per_lookup from the ProbeProfile instrumentation — so the probe
-// working-set gap between backends is visible next to the timings.
+// the cuckoo tables (standard vs flat). The GroupStore find benches publish
+// the modeled slot reads per lookup, so the probe-cost gap between flat
+// and chained addressing is visible next to the timings.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 
 #include "hash/bloom_filter.hpp"
-#include "hash/compact_flat_cuckoo_table.hpp"
 #include "hash/cuckoo_table.hpp"
 #include "hash/flat_cuckoo_table.hpp"
 #include "hash/group_stores.hpp"
@@ -208,24 +206,6 @@ void BM_CuckooInsert_Flat(benchmark::State& state) {
 }
 BENCHMARK(BM_CuckooInsert_Flat);
 
-void BM_CuckooInsert_Compact(benchmark::State& state) {
-  hash::FlatCuckooConfig cfg;
-  cfg.capacity = 1 << 16;
-  hash::CompactFlatCuckooTable table(cfg);
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    if (table.size() > cfg.capacity * 9 / 10) {
-      state.PauseTiming();
-      table = hash::CompactFlatCuckooTable(cfg);
-      state.ResumeTiming();
-    }
-    const std::uint64_t key = hash::mix64(i);
-    ++i;
-    benchmark::DoNotOptimize(table.insert(key, i));
-  }
-}
-BENCHMARK(BM_CuckooInsert_Compact);
-
 void BM_CuckooFind_Standard(benchmark::State& state) {
   hash::CuckooTable table(1 << 16);
   for (std::uint64_t i = 0; i < (1 << 15); ++i) {
@@ -238,21 +218,6 @@ void BM_CuckooFind_Standard(benchmark::State& state) {
 }
 BENCHMARK(BM_CuckooFind_Standard);
 
-/// Attaches the roofline counters derived from an accumulated ProbeProfile:
-/// per-lookup bytes touched and slots scanned, plus the fingerprint
-/// false-hit rate (nonzero only for the compact backend).
-void set_roofline_counters(benchmark::State& state,
-                           const hash::ProbeProfile& profile) {
-  const auto n = static_cast<double>(state.iterations());
-  if (n == 0) return;
-  state.counters["bytes_per_lookup"] =
-      static_cast<double>(profile.bytes_touched) / n;
-  state.counters["slots_per_lookup"] =
-      static_cast<double>(profile.slots_scanned) / n;
-  state.counters["fp_false_hit_rate"] =
-      static_cast<double>(profile.fingerprint_false_hits) / n;
-}
-
 void BM_CuckooFind_Flat(benchmark::State& state) {
   hash::FlatCuckooConfig cfg;
   cfg.capacity = 1 << 16;
@@ -261,31 +226,11 @@ void BM_CuckooFind_Flat(benchmark::State& state) {
     table.insert(hash::mix64(i), i);
   }
   std::uint64_t i = 0;
-  hash::ProbeProfile profile;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.find(hash::mix64(i++ % (1 << 15)),
-                                        &profile));
+    benchmark::DoNotOptimize(table.find(hash::mix64(i++ % (1 << 15))));
   }
-  set_roofline_counters(state, profile);
 }
 BENCHMARK(BM_CuckooFind_Flat);
-
-void BM_CuckooFind_Compact(benchmark::State& state) {
-  hash::FlatCuckooConfig cfg;
-  cfg.capacity = 1 << 16;
-  hash::CompactFlatCuckooTable table(cfg);
-  for (std::uint64_t i = 0; i < (1 << 15); ++i) {
-    table.insert(hash::mix64(i), i);
-  }
-  std::uint64_t i = 0;
-  hash::ProbeProfile profile;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.find(hash::mix64(i++ % (1 << 15)),
-                                        &profile));
-  }
-  set_roofline_counters(state, profile);
-}
-BENCHMARK(BM_CuckooFind_Compact);
 
 void BM_ChainedFind(benchmark::State& state) {
   hash::LshTableChained table(1 << 12);  // heavy chains: vertical addressing
@@ -299,10 +244,9 @@ void BM_ChainedFind(benchmark::State& state) {
 }
 BENCHMARK(BM_ChainedFind);
 
-// GroupStore-level roofline: the same mixed hit/miss lookup stream through
-// each CHS backend's full find path, with bytes/slots per lookup from the
-// uniform ProbeProfile plumbing. This is the apples-to-apples probe
-// working-set comparison the flat_compact backend exists for.
+// GroupStore level: the same mixed hit/miss lookup stream through each CHS
+// backend's full find path, with the modeled slot reads per lookup (fixed
+// 2W for flat addressing, the chain walk for the chained baseline).
 void group_store_find(benchmark::State& state,
                       core::pipeline::GroupStore& store) {
   constexpr std::uint64_t kResident = 1 << 14;
@@ -310,16 +254,21 @@ void group_store_find(benchmark::State& state,
     store.place(0, hash::mix64(i), i);
   }
   std::uint64_t i = 0;
-  hash::ProbeProfile profile;
+  std::size_t slot_reads = 0;
   for (auto _ : state) {
     // Even iterations hit, odd iterations miss.
     const std::uint64_t draw = i++;
     const std::uint64_t key = (draw & 1) ? hash::mix64(kResident + draw)
                                          : hash::mix64(draw % kResident);
     std::size_t probes = 0;
-    benchmark::DoNotOptimize(store.find(0, key, &probes, &profile));
+    benchmark::DoNotOptimize(store.find(0, key, &probes));
+    slot_reads += probes;
   }
-  set_roofline_counters(state, profile);
+  if (state.iterations() > 0) {
+    state.counters["slots_per_lookup"] =
+        static_cast<double>(slot_reads) /
+        static_cast<double>(state.iterations());
+  }
 }
 
 void BM_GroupStoreFind_Flat(benchmark::State& state) {
@@ -329,14 +278,6 @@ void BM_GroupStoreFind_Flat(benchmark::State& state) {
   group_store_find(state, store);
 }
 BENCHMARK(BM_GroupStoreFind_Flat);
-
-void BM_GroupStoreFind_Compact(benchmark::State& state) {
-  hash::FlatCuckooConfig cfg;
-  cfg.capacity = 1 << 15;
-  hash::CompactFlatCuckooGroupStore store(cfg, 1);
-  group_store_find(state, store);
-}
-BENCHMARK(BM_GroupStoreFind_Compact);
 
 void BM_GroupStoreFind_Chained(benchmark::State& state) {
   hash::ChainedGroupStore store(1 << 13, 0x5eed, 1);

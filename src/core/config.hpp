@@ -81,17 +81,15 @@ struct FastConfig {
   /// Scaled NN distance the calibration targets, as a fraction of omega.
   double calibrate_target = 0.25;
 
-  // CHS: group storage behind the aggregator's bucket keys. Three runtime-
+  // CHS: group storage behind the aggregator's bucket keys. Two runtime-
   // selectable backends:
   //  - kFlatCuckoo: the paper's flat-structured cuckoo addressing — fixed
   //    2W-probe lookups, proactive doubling at 80% load (amortized O(1));
   //  - kChained: conventional vertical addressing (bucket chains), the
-  //    baseline of §III-C3 kept selectable for ablations;
-  //  - kCompactFlatCuckoo ("flat_compact"): flat addressing over the
-  //    fingerprint-compressed SoA table (DESIGN.md §3h) — 16-bit
-  //    fingerprint lane scanned first, full keys out-of-line; bit-identical
-  //    results to kFlatCuckoo with a ~4x smaller probe working set.
-  enum class ChsBackend { kFlatCuckoo, kChained, kCompactFlatCuckoo };
+  //    baseline of §III-C3 kept selectable for ablations.
+  // The values enter the config fingerprint, so they are fixed; 2 is
+  // retired (it named a removed fingerprint-compressed flat table).
+  enum class ChsBackend { kFlatCuckoo = 0, kChained = 1 };
   ChsBackend chs_backend = ChsBackend::kFlatCuckoo;
   hash::FlatCuckooConfig cuckoo{
       .capacity = 256, .window = 4, .max_kicks = 500, .seed = 0xfa57};

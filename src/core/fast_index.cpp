@@ -1,11 +1,8 @@
 #include "core/fast_index.hpp"
 
-#include <algorithm>
 #include <optional>
-#include <stdexcept>
 #include <unordered_set>
 
-#include "core/pipeline/factory.hpp"
 #include "util/check.hpp"
 #include "util/codec.hpp"
 #include "util/metrics.hpp"
@@ -16,7 +13,7 @@ namespace fast::core {
 
 FastIndex::FastIndex(FastConfig config, vision::PcaModel pca)
     : front_(std::move(config), std::move(pca)),
-      store_(pipeline::make_group_store(front_.config(), front_.table_count())),
+      core_(front_.config(), front_.table_count()),
       log_(front_.metrics()) {
   init_metrics();
 }
@@ -26,7 +23,6 @@ void FastIndex::init_metrics() {
   m_.chs_group_hits = &r.counter("chs.group_hits");
   m_.chs_group_creates = &r.counter("chs.group_creates");
   m_.chs_rehash_events = &r.counter("chs.rehash_events");
-  m_.chs_fingerprint_false_hits = &r.counter("chs.fingerprint_false_hits");
   m_.chs_load_factor = &r.gauge("chs.load_factor");
   m_.chs_occupied_slots = &r.gauge("chs.occupied_slots");
   m_.chs_capacity_slots = &r.gauge("chs.capacity_slots");
@@ -38,7 +34,7 @@ void FastIndex::init_metrics() {
 }
 
 void FastIndex::publish_storage_gauges() {
-  const hash::CuckooStats s = store_->stats();
+  const hash::CuckooStats s = core_.store().stats();
   m_.chs_occupied_slots->set(static_cast<double>(s.occupied_slots));
   m_.chs_capacity_slots->set(static_cast<double>(s.capacity_slots));
   m_.chs_load_factor->set(s.capacity_slots == 0
@@ -48,9 +44,9 @@ void FastIndex::publish_storage_gauges() {
   m_.chs_insert_failures->set(static_cast<double>(s.failures));
   m_.chs_total_kicks->set(static_cast<double>(s.total_kicks));
   m_.chs_max_kick_chain->set(static_cast<double>(s.max_kick_chain));
-  m_.chs_store_bytes->set(static_cast<double>(store_->store_bytes()));
-  front_.m().index_size->set(static_cast<double>(signatures_.size()));
-  m_.index_groups->set(static_cast<double>(groups_.size()));
+  m_.chs_store_bytes->set(static_cast<double>(core_.store().store_bytes()));
+  front_.m().index_size->set(static_cast<double>(core_.size()));
+  m_.index_groups->set(static_cast<double>(core_.group_count()));
 }
 
 void FastIndex::calibrate_scale(
@@ -86,45 +82,28 @@ InsertResult FastIndex::apply_insert(
   // in a membership list and queries rank against the fresh signature.
   // (apply_erase, not erase: replay of this insert record redoes the
   // eviction, so it must not be logged separately.)
-  if (signatures_.find(id) != signatures_.end()) apply_erase(id);
+  if (core_.contains(id)) apply_erase(id);
 
   const std::vector<std::uint64_t> keys =
       front_.insert_keys(signature, result.cost);
-  const double ram_access_s = config().cost.ram_access_s;
   {
     util::TraceSpan place_span("chs.place");
-    std::size_t slot_reads = 0;
-    hash::ProbeProfile probe_profile;
-    for (std::size_t t = 0; t < keys.size(); ++t) {
-      std::size_t lookup_probes = 0;
-      const auto group =
-          store_->find(t, keys[t], &lookup_probes, &probe_profile);
-      result.cost.charge_ram(ram_access_s, lookup_probes);
-      slot_reads += lookup_probes;
-      front_.m().chs_slot_reads->add(lookup_probes);
-      if (group) {
-        groups_[*group].push_back(id);
-        m_.chs_group_hits->add();
-      } else {
-        const std::uint64_t group_id = groups_.size();
-        groups_.emplace_back(std::vector<std::uint64_t>{id});
-        const std::size_t events = store_->place(t, keys[t], group_id);
-        result.rehashes += events;
-        rehashes_ += events;
-        if (events > 0) result.ok = false;
-        result.cost.charge_ram(ram_access_s, store_->lookup_cost_probes(t));
-        m_.chs_group_creates->add();
-        m_.chs_rehash_events->add(events);
-      }
+    const GroupIndex::Placement placed = core_.place(id, signature, keys);
+    const double ram_access_s = config().cost.ram_access_s;
+    for (const std::size_t reads : placed.ram_reads) {
+      result.cost.charge_ram(ram_access_s, reads);
     }
+    result.rehashes = placed.rehashes;
+    rehashes_ += placed.rehashes;
+    if (placed.rehashes > 0) result.ok = false;
+    front_.m().chs_slot_reads->add(placed.slot_reads);
+    m_.chs_group_hits->add(placed.group_hits);
+    m_.chs_group_creates->add(placed.group_creates);
+    m_.chs_rehash_events->add(placed.rehashes);
     place_span.attr("tables", static_cast<double>(keys.size()));
-    place_span.attr("slot_reads", static_cast<double>(slot_reads));
+    place_span.attr("slot_reads", static_cast<double>(placed.slot_reads));
     place_span.attr("rehash_events", static_cast<double>(result.rehashes));
-    if (probe_profile.fingerprint_false_hits != 0) {
-      m_.chs_fingerprint_false_hits->add(probe_profile.fingerprint_false_hits);
-    }
   }
-  signatures_.emplace(id, signature);
   front_.record_insert(result);
   publish_storage_gauges();
   return result;
@@ -138,28 +117,16 @@ std::vector<InsertResult> FastIndex::insert_batch(
 bool FastIndex::erase(std::uint64_t id) {
   util::TraceSpan span("erase");
   // An unknown id is a no-op; logging it would bloat the WAL for nothing.
-  if (signatures_.find(id) == signatures_.end()) return false;
+  if (!core_.contains(id)) return false;
   if (durable()) log_.append(storage::kWalRecordErase, id, {});
   return apply_erase(id);
 }
 
 bool FastIndex::apply_erase(std::uint64_t id) {
-  const auto it = signatures_.find(id);
-  if (it == signatures_.end()) return false;
+  const hash::SparseSignature* sig = core_.signature_of(id);
+  if (sig == nullptr) return false;
   front_.m().erases->add();
-  const std::vector<std::uint64_t> keys = front_.keys(it->second);
-  for (std::size_t t = 0; t < keys.size(); ++t) {
-    if (const auto group = store_->find(t, keys[t])) {
-      auto& members = groups_[*group];
-      members.erase(std::remove(members.begin(), members.end(), id),
-                    members.end());
-      // An emptied group's bucket key is dropped so queries stop probing
-      // it. (Flat-cuckoo rebuild logs keep the mapping; a rebuilt table
-      // would resurrect the key pointing at an empty group — harmless.)
-      if (members.empty()) store_->erase_key(t, keys[t]);
-    }
-  }
-  signatures_.erase(it);
+  core_.remove(id, front_.keys(*sig));
   publish_storage_gauges();
   return true;
 }
@@ -176,38 +143,17 @@ storage::SnapshotFile FastIndex::build_snapshot() const {
   params.u64(rehashes_);
   snapshot.sections.push_back({storage::kSectionParams, params.take()});
 
-  // Signatures in id order: the image is a pure function of index content,
-  // never of unordered_map iteration order.
-  std::vector<std::uint64_t> ids;
-  ids.reserve(signatures_.size());
-  for (const auto& entry : signatures_) ids.push_back(entry.first);
-  std::sort(ids.begin(), ids.end());
+  // Each payload is a pure function of index content (signatures in id
+  // order), never of unordered_map iteration order.
   util::ByteWriter sigs;
-  sigs.u64(ids.size());
-  for (const std::uint64_t id : ids) {
-    sigs.u64(id);
-    sigs.blob(signatures_.at(id).encode());
-  }
+  core_.write_signatures(sigs);
   snapshot.sections.push_back({storage::kSectionSignatures, sigs.take()});
-
   util::ByteWriter groups;
-  groups.u64(groups_.size());
-  for (const auto& members : groups_) {
-    groups.u64(members.size());
-    for (const std::uint64_t id : members) groups.u64(id);
-  }
+  core_.write_groups(groups);
   snapshot.sections.push_back({storage::kSectionGroups, groups.take()});
-
   util::ByteWriter store;
-  store_->serialize(store);
-  // The compact backend publishes its store under a distinct section id so
-  // readers built before it existed fail the section lookup outright (on
-  // top of the chs_backend term in the config fingerprint).
-  const std::uint32_t store_section =
-      config().chs_backend == FastConfig::ChsBackend::kCompactFlatCuckoo
-          ? storage::kSectionStoreCompact
-          : storage::kSectionStore;
-  snapshot.sections.push_back({store_section, store.take()});
+  core_.write_store(store);
+  snapshot.sections.push_back({storage::kSectionStore, store.take()});
   return snapshot;
 }
 
@@ -215,10 +161,7 @@ bool FastIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
   const auto* params = snapshot.find(storage::kSectionParams);
   const auto* sigs = snapshot.find(storage::kSectionSignatures);
   const auto* groups = snapshot.find(storage::kSectionGroups);
-  const auto* store = snapshot.find(
-      config().chs_backend == FastConfig::ChsBackend::kCompactFlatCuckoo
-          ? storage::kSectionStoreCompact
-          : storage::kSectionStore);
+  const auto* store = snapshot.find(storage::kSectionStore);
   if (params == nullptr || sigs == nullptr || groups == nullptr ||
       store == nullptr) {
     return false;
@@ -229,43 +172,14 @@ bool FastIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
   const std::uint64_t rehashes = pr.u64();
   if (!pr.ok()) return false;
 
+  // This index is a fresh candidate (open_or_recover discards it on false).
   util::ByteReader sr{std::span(sigs->payload)};
-  const std::uint64_t count = sr.u64();
-  std::unordered_map<std::uint64_t, hash::SparseSignature> restored_sigs;
-  restored_sigs.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t id = sr.u64();
-    const auto encoded = sr.blob();
-    if (!sr.ok()) return false;
-    try {
-      hash::SparseSignature sig = hash::SparseSignature::decode(encoded);
-      if (sig.bit_count() != config().bloom_bits) return false;
-      restored_sigs.emplace(id, std::move(sig));
-    } catch (const std::runtime_error&) {
-      return false;
-    }
-  }
-
   util::ByteReader gr{std::span(groups->payload)};
-  const std::uint64_t group_count = gr.u64();
-  if (!gr.ok() || group_count > gr.remaining() / 8) return false;
-  std::vector<std::vector<std::uint64_t>> restored_groups;
-  restored_groups.reserve(group_count);
-  for (std::uint64_t g = 0; g < group_count; ++g) {
-    const std::uint64_t members = gr.u64();
-    if (!gr.ok() || members > gr.remaining() / 8) return false;
-    std::vector<std::uint64_t> list;
-    list.reserve(members);
-    for (std::uint64_t i = 0; i < members; ++i) list.push_back(gr.u64());
-    restored_groups.push_back(std::move(list));
-  }
-  if (!gr.ok()) return false;
-
   util::ByteReader str{std::span(store->payload)};
-  if (!store_->deserialize(str)) return false;
-
-  signatures_ = std::move(restored_sigs);
-  groups_ = std::move(restored_groups);
+  if (!core_.read_signatures(sr) || !core_.read_groups(gr) ||
+      !core_.read_store(str)) {
+    return false;
+  }
   rehashes_ = rehashes;
   front_.set_input_scale(input_scale);
   publish_storage_gauges();
@@ -322,70 +236,34 @@ QueryResult FastIndex::query_signature(const hash::SparseSignature& signature,
   std::unordered_set<std::uint64_t> candidate_ids;
   const auto probe = [&](const QueryKeys& q, QueryResult& result) {
     std::size_t slot_reads_total = 0;
-    hash::ProbeProfile probe_profile;
-    {
-      util::TraceSpan probe_span("chs.probe");
-      for (std::size_t t = 0; t < q.keys.size(); ++t) {
-        std::size_t table_slot_reads = 0;
-        auto probe_bucket = [&](std::uint64_t key) {
-          ++result.bucket_probes;
-          std::size_t lookup_probes = 0;
-          if (const auto group =
-                  store_->find(t, key, &lookup_probes, &probe_profile)) {
-            for (const std::uint64_t id : groups_[*group]) {
-              candidate_ids.insert(id);
-            }
-          }
-          table_slot_reads += lookup_probes;
-        };
-        probe_bucket(q.keys[t]);
-        for (const std::uint64_t pk : q.probes[t]) probe_bucket(pk);
-        front_.charge_table(result, q.table_hash_s, table_slot_reads);
-        slot_reads_total += table_slot_reads;
+    util::TraceSpan probe_span("chs.probe");
+    for (std::size_t t = 0; t < q.keys.size(); ++t) {
+      std::size_t table_slot_reads = 0;
+      ++result.bucket_probes;
+      core_.collect(t, q.keys[t], candidate_ids, &table_slot_reads);
+      for (const std::uint64_t pk : q.probes[t]) {
+        ++result.bucket_probes;
+        core_.collect(t, pk, candidate_ids, &table_slot_reads);
       }
-      probe_span.attr("bucket_probes",
-                      static_cast<double>(result.bucket_probes));
-      probe_span.attr("slot_reads", static_cast<double>(slot_reads_total));
-      probe_span.attr("candidates", static_cast<double>(candidate_ids.size()));
+      front_.charge_table(result, q.table_hash_s, table_slot_reads);
+      slot_reads_total += table_slot_reads;
     }
-    if (probe_profile.fingerprint_false_hits != 0) {
-      m_.chs_fingerprint_false_hits->add(probe_profile.fingerprint_false_hits);
-    }
+    probe_span.attr("bucket_probes", static_cast<double>(result.bucket_probes));
+    probe_span.attr("slot_reads", static_cast<double>(slot_reads_total));
+    probe_span.attr("candidates", static_cast<double>(candidate_ids.size()));
     return slot_reads_total;
   };
   // Rank candidates by signature similarity (sparse-domain Jaccard).
   const auto score = [&](QueryResult& result) {
     result.hits.reserve(candidate_ids.size());
     for (const std::uint64_t id : candidate_ids) {
-      const auto it = signatures_.find(id);
-      FAST_CHECK(it != signatures_.end());
+      const hash::SparseSignature* stored = core_.signature_of(id);
+      FAST_CHECK(stored != nullptr);
       result.hits.push_back(
-          ScoredId{id, hash::SparseSignature::jaccard(signature, it->second)});
+          ScoredId{id, hash::SparseSignature::jaccard(signature, *stored)});
     }
   };
   return front_.query(signature, k, probe, score);
-}
-
-const hash::SparseSignature* FastIndex::signature_of(std::uint64_t id) const {
-  const auto it = signatures_.find(id);
-  return it == signatures_.end() ? nullptr : &it->second;
-}
-
-std::size_t FastIndex::index_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& [id, sig] : signatures_) {
-    bytes += sizeof(id) + sig.storage_bytes();
-  }
-  bytes += store_->store_bytes();
-  for (const auto& group : groups_) {
-    bytes += sizeof(std::uint64_t) * group.size() + sizeof(std::uint64_t);
-  }
-  bytes += front_.param_bytes();
-  return bytes;
-}
-
-hash::CuckooStats FastIndex::cuckoo_stats() const {
-  return store_->stats();
 }
 
 }  // namespace fast::core

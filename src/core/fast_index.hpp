@@ -12,10 +12,11 @@
 //                              vertical-addressing baseline
 //                              (pipeline::GroupStore)
 //
-// The index composes the shared IndexFront (config, FE+SM summarizer, SA
-// aggregator, metrics and the query scaffold; core/index_front.hpp) with
-// its own CHS state: one pipeline::GroupStore chosen by config.chs_backend,
-// the correlation groups and the stored signatures. Queries are O(1):
+// The index is three shared parts: IndexFront (config, FE+SM summarizer,
+// SA aggregator, metrics and the query scaffold; core/index_front.hpp),
+// GroupIndex (the CHS core: group store, correlation groups and stored
+// signatures; core/group_index.hpp) and DurableLog (snapshot + WAL;
+// core/durability.hpp). Queries are O(1):
 // L tables x (1 + probes) x bounded slot reads, all constants under flat
 // addressing, followed by ranking the (small) candidate set by sparse-
 // signature Jaccard similarity. Every operation reports simulated platform
@@ -28,15 +29,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/durability.hpp"
+#include "core/group_index.hpp"
 #include "core/index_front.hpp"
-#include "core/pipeline/group_store.hpp"
 #include "core/result.hpp"
 #include "hash/sparse_signature.hpp"
 #include "img/image.hpp"
@@ -56,8 +55,8 @@ class FastIndex {
   /// The shared FE+SM / SA / query scaffold (the flat backend's lock-free
   /// summarization and FE decoration go through it).
   const IndexFront& front() const noexcept { return front_; }
-  std::size_t size() const noexcept { return signatures_.size(); }
-  std::size_t group_count() const noexcept { return groups_.size(); }
+  std::size_t size() const noexcept { return core_.size(); }
+  std::size_t group_count() const noexcept { return core_.group_count(); }
   std::size_t rehash_count() const noexcept { return rehashes_; }
 
   // --- FE + SM ---
@@ -144,20 +143,22 @@ class FastIndex {
       util::ThreadPool* pool = nullptr) const;
 
   /// The stored signature of an image (for tests / re-ranking).
-  const hash::SparseSignature* signature_of(std::uint64_t id) const;
+  const hash::SparseSignature* signature_of(std::uint64_t id) const {
+    return core_.signature_of(id);
+  }
 
   /// Visits every resident (id, signature) pair in unspecified order.
   /// The flat backend's for_each_live_signature (shard routing rebuilds);
   /// not a hot path.
   template <typename Fn>
   void for_each_signature(Fn&& fn) const {
-    for (const auto& [id, sig] : signatures_) fn(id, sig);
+    for (const auto& [id, sig] : core_.signatures()) fn(id, sig);
   }
 
   /// Members of correlation group `g` (diagnostics/tests; erased groups
   /// stay as empty husks).
   std::span<const std::uint64_t> group_members(std::size_t g) const {
-    return groups_.at(g);
+    return core_.group_members(g);
   }
 
   /// Per-stage observability: FE/SM timing, SA key derivation, CHS probe
@@ -169,10 +170,9 @@ class FastIndex {
   /// Total bytes of the in-memory index: sparse signatures + storage slots +
   /// group membership lists + aggregator parameters. This is the FAST
   /// column of Table IV.
-  std::size_t index_bytes() const;
-
-  /// Aggregate storage statistics across the L tables.
-  hash::CuckooStats cuckoo_stats() const;
+  std::size_t index_bytes() const {
+    return core_.bytes() + front_.param_bytes();
+  }
 
  private:
   /// Instruments of the flat CHS layout, cached so hot paths (queries
@@ -183,7 +183,6 @@ class FastIndex {
     util::Counter* chs_group_hits = nullptr;
     util::Counter* chs_group_creates = nullptr;
     util::Counter* chs_rehash_events = nullptr;
-    util::Counter* chs_fingerprint_false_hits = nullptr;
     util::Gauge* chs_load_factor = nullptr;
     util::Gauge* chs_occupied_slots = nullptr;
     util::Gauge* chs_capacity_slots = nullptr;
@@ -214,9 +213,7 @@ class FastIndex {
   bool restore_snapshot(const storage::SnapshotFile& snapshot);
 
   IndexFront front_;
-  std::unique_ptr<pipeline::GroupStore> store_;
-  std::vector<std::vector<std::uint64_t>> groups_;  // group id -> member ids
-  std::unordered_map<std::uint64_t, hash::SparseSignature> signatures_;
+  GroupIndex core_;
   std::size_t rehashes_ = 0;
   StoreMetrics m_;
   DurableLog log_;

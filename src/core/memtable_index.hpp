@@ -1,11 +1,11 @@
-// The mutable layer of the tiered index (DESIGN.md §3f): the current
-// FastIndex core — group store, membership lists, signature map — plus a
-// tombstone set, with key derivation hoisted OUT. The owning TieredIndex
-// computes per-table bucket keys before taking the lane lock, so the
-// memtable's critical section is pure placement: bounded slot reads and a
-// few hash-map updates. A sealed memtable becomes the payload of an
-// ImmutableSegment verbatim (move, no rebuild), which is what makes
-// sealing O(1) on the writer path.
+// The mutable layer of the tiered index (DESIGN.md §3f): the same CHS core
+// FastIndex uses (GroupIndex: group store, membership lists, signature map)
+// plus a per-id cache of home keys and a tombstone set, with key derivation
+// hoisted OUT. The owning TieredIndex computes per-table bucket keys before
+// taking the lane lock, so the memtable's critical section is pure
+// placement: bounded slot reads and a few hash-map updates. A sealed
+// memtable becomes the payload of an ImmutableSegment verbatim (move, no
+// rebuild), which is what makes sealing O(1) on the writer path.
 //
 // Shadowing contract: within one lane, the newest layer mentioning an id
 // owns it. `contains` (a live signature) and `tombstoned` (an erase marker)
@@ -15,14 +15,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/pipeline/group_store.hpp"
+#include "core/group_index.hpp"
 #include "hash/sparse_signature.hpp"
 #include "util/codec.hpp"
 
@@ -30,26 +29,25 @@ namespace fast::core {
 
 class MemtableIndex {
  public:
-  /// Builds an empty memtable with its own group store (config.chs_backend)
+  /// Builds an empty memtable with its own CHS core (config.chs_backend)
   /// over `tables` tables.
-  MemtableIndex(const FastConfig& config, std::size_t tables);
+  MemtableIndex(const FastConfig& config, std::size_t tables)
+      : core_(config, tables) {}
 
   MemtableIndex(MemtableIndex&&) = default;
   MemtableIndex& operator=(MemtableIndex&&) = default;
 
-  std::size_t table_count() const noexcept { return store_->table_count(); }
+  std::size_t table_count() const noexcept { return core_.table_count(); }
   /// Live signatures stored here.
-  std::size_t entries() const noexcept { return signatures_.size(); }
+  std::size_t entries() const noexcept { return core_.size(); }
   std::size_t tombstone_count() const noexcept { return tombstones_.size(); }
   /// Seal pressure: every id this layer says something about.
   std::size_t mention_count() const noexcept {
-    return signatures_.size() + tombstones_.size();
+    return core_.size() + tombstones_.size();
   }
   bool empty() const noexcept { return mention_count() == 0; }
 
-  bool contains(std::uint64_t id) const {
-    return signatures_.find(id) != signatures_.end();
-  }
+  bool contains(std::uint64_t id) const { return core_.contains(id); }
   bool tombstoned(std::uint64_t id) const {
     return tombstones_.find(id) != tombstones_.end();
   }
@@ -59,8 +57,7 @@ class MemtableIndex {
   }
 
   const hash::SparseSignature* signature_of(std::uint64_t id) const {
-    const auto it = signatures_.find(id);
-    return it == signatures_.end() ? nullptr : &it->second;
+    return core_.signature_of(id);
   }
 
   /// The per-table home keys `id` was placed under. Keys are derived once
@@ -74,11 +71,9 @@ class MemtableIndex {
   /// Places `id` under precomputed per-table home keys (keys.size() ==
   /// table_count()) and drops any tombstone for it. The id must not already
   /// be present — the caller erases the old version first (re-insert).
-  /// Returns rehash events; adds modeled slot reads to *slot_reads when
-  /// non-null.
-  std::size_t place(std::uint64_t id, const hash::SparseSignature& signature,
-                    std::span<const std::uint64_t> keys,
-                    std::size_t* slot_reads = nullptr);
+  GroupIndex::Placement place(std::uint64_t id,
+                              const hash::SparseSignature& signature,
+                              std::span<const std::uint64_t> keys);
 
   /// Removes a locally stored id under its cached keys (emptied groups
   /// release their bucket key). The id must be present.
@@ -91,11 +86,13 @@ class MemtableIndex {
   /// `out`. Adds the modeled slot reads of the lookup to *slot_reads.
   void collect(std::size_t t, std::uint64_t key,
                std::unordered_set<std::uint64_t>& out,
-               std::size_t* slot_reads) const;
+               std::size_t* slot_reads) const {
+    core_.collect(t, key, out, slot_reads);
+  }
 
   const std::unordered_map<std::uint64_t, hash::SparseSignature>& signatures()
       const noexcept {
-    return signatures_;
+    return core_.signatures();
   }
   const std::unordered_set<std::uint64_t>& tombstones() const noexcept {
     return tombstones_;
@@ -103,22 +100,21 @@ class MemtableIndex {
 
   /// Ids with live signatures, sorted ascending — the deterministic
   /// iteration order for sealing, compaction and snapshots.
-  std::vector<std::uint64_t> sorted_ids() const;
+  std::vector<std::uint64_t> sorted_ids() const { return core_.sorted_ids(); }
 
-  /// In-memory bytes (signatures + store slots + membership lists).
+  /// In-memory bytes (the core + cached keys + tombstones).
   std::size_t bytes() const;
-  hash::CuckooStats stats() const { return store_->stats(); }
 
-  /// Snapshot-section codec. serialize() is a pure function of content
-  /// (id-sorted), never of hash-map iteration order; deserialize() returns
-  /// false on malformed bytes, leaving the memtable unusable (discard it).
+  /// Snapshot-section codec: the core's signature payload (each entry
+  /// followed by its cached keys), the sorted tombstones, then the core's
+  /// group and store payloads. serialize() is a pure function of content;
+  /// deserialize() returns false on malformed bytes, leaving the memtable
+  /// unusable (discard it).
   void serialize(util::ByteWriter& out) const;
-  bool deserialize(util::ByteReader& in, std::size_t bloom_bits);
+  bool deserialize(util::ByteReader& in);
 
  private:
-  std::unique_ptr<pipeline::GroupStore> store_;
-  std::vector<std::vector<std::uint64_t>> groups_;  // group id -> member ids
-  std::unordered_map<std::uint64_t, hash::SparseSignature> signatures_;
+  GroupIndex core_;
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> keys_;
   std::unordered_set<std::uint64_t> tombstones_;
 };

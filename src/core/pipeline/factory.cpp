@@ -20,10 +20,6 @@ std::unique_ptr<GroupStore> make_group_store(const FastConfig& config,
     return std::make_unique<hash::ChainedGroupStore>(
         config.chained_buckets, config.cuckoo.seed, tables);
   }
-  if (config.chs_backend == FastConfig::ChsBackend::kCompactFlatCuckoo) {
-    return std::make_unique<hash::CompactFlatCuckooGroupStore>(config.cuckoo,
-                                                               tables);
-  }
   return std::make_unique<hash::FlatCuckooGroupStore>(config.cuckoo, tables);
 }
 

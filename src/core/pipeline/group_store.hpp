@@ -10,7 +10,7 @@
 #include <cstdint>
 #include <optional>
 
-#include "hash/cuckoo_table.hpp"  // CuckooStats, ProbeProfile
+#include "hash/cuckoo_table.hpp"  // CuckooStats
 #include "util/codec.hpp"
 
 namespace fast::core::pipeline {
@@ -25,12 +25,10 @@ class GroupStore {
 
   /// Looks `key` up in table `t`. When `probes` is non-null it receives the
   /// modeled slot reads the lookup performed (fixed 2W for flat addressing,
-  /// chain-walk length for the chained baseline). When `profile` is
-  /// non-null it accumulates roofline accounting for the probe (slots
-  /// scanned, bytes touched, fingerprint false hits).
+  /// chain-walk length for the chained baseline).
   virtual std::optional<std::uint64_t> find(
-      std::size_t t, std::uint64_t key, std::size_t* probes = nullptr,
-      hash::ProbeProfile* profile = nullptr) const = 0;
+      std::size_t t, std::uint64_t key,
+      std::size_t* probes = nullptr) const = 0;
 
   /// Places key -> group into table `t`, growing/rehashing as the backend
   /// requires until the placement succeeds. Returns the number of rehash
@@ -58,9 +56,10 @@ class GroupStore {
 
   /// Restores state serialized by a store of the same backend and table
   /// count into this instance. Returns false (leaving this store in an
-  /// unspecified state the caller must discard) on malformed bytes or a
-  /// table-count mismatch.
-  virtual bool deserialize(util::ByteReader& in) = 0;
+  /// unspecified state the caller must discard) on malformed bytes, a
+  /// table-count mismatch, or a stored group id >= `group_count`.
+  virtual bool deserialize(util::ByteReader& in,
+                           std::uint64_t group_count) = 0;
 };
 
 }  // namespace fast::core::pipeline

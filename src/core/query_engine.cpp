@@ -87,20 +87,6 @@ BatchReport QueryEngine::run_batch(
   return report;
 }
 
-BatchReport QueryEngine::run_image_batch(
-    std::span<const img::Image* const> images, const BatchOptions& options) {
-  util::TraceSpan span("engine.batch");
-  span.attr("queries", static_cast<double>(images.size()));
-  BatchReport report;
-
-  util::WallTimer timer;
-  report.results = backend_.query_batch(images, options.top_k, &pool_);
-  report.native_wall_s = timer.elapsed_seconds();
-
-  finish_report(report, options.sim_slots);
-  return report;
-}
-
 double QueryEngine::simulated_query_latency(const QueryResult& result,
                                             std::size_t cores) {
   if (result.parallel_tasks.empty()) {

@@ -64,11 +64,6 @@ class QueryEngine {
   BatchReport run_batch(std::span<const hash::SparseSignature> queries,
                         const BatchOptions& options = {});
 
-  /// Full-pipeline variant: raw images enter the batch path, so FE+SM fans
-  /// across the pool alongside the probe/rank work (query_batch).
-  BatchReport run_image_batch(std::span<const img::Image* const> images,
-                              const BatchOptions& options = {});
-
   /// Simulated latency of one already-executed query on a `cores`-way
   /// multicore: the makespan of its independent probe/rank tasks (Fig. 7).
   static double simulated_query_latency(const QueryResult& result,

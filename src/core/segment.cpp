@@ -67,7 +67,7 @@ std::shared_ptr<const ImmutableSegment> ImmutableSegment::deserialize(
                                           inserted);
   }
   auto state = std::make_shared<MemtableIndex>(config, tables);
-  if (!state->deserialize(in, config.bloom_bits)) return nullptr;
+  if (!state->deserialize(in)) return nullptr;
   if (bloom.has_value()) {
     return std::make_shared<const ImmutableSegment>(
         id, std::shared_ptr<const MemtableIndex>(std::move(state)),

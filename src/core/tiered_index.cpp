@@ -177,10 +177,10 @@ InsertResult TieredIndex::insert_internal(
     } else {
       was_live = segments_contain_live(lane, id);
     }
-    const std::size_t events = lane.mem->place(id, signature, keys,
-                                               &slot_reads);
-    result.rehashes = events;
-    if (events > 0) result.ok = false;
+    const GroupIndex::Placement placed = lane.mem->place(id, signature, keys);
+    slot_reads = placed.slot_reads;
+    result.rehashes = placed.rehashes;
+    if (placed.rehashes > 0) result.ok = false;
     result.cost.charge_ram(front_.config().cost.ram_access_s, slot_reads);
     if (!was_live) live_.fetch_add(1, std::memory_order_relaxed);
     mem_entries_.fetch_add(
@@ -454,8 +454,7 @@ bool TieredIndex::try_compact_lane(Lane& lane) {
     }
     for (const std::uint64_t id : seg.state().sorted_ids()) {
       if (!seen.insert(id).second) continue;
-      merged.place(id, *seg.signature_of(id), *seg.state().keys_of(id),
-                   nullptr);
+      merged.place(id, *seg.signature_of(id), *seg.state().keys_of(id));
     }
   }
 
@@ -809,7 +808,7 @@ bool TieredIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
       // mem_config_, not config(): restored memtables should start at the
       // same pre-expanded capacity the seal path hands out.
       auto mem = std::make_unique<MemtableIndex>(mem_config_, tables_);
-      if (!mem->deserialize(in, front_.config().bloom_bits)) return false;
+      if (!mem->deserialize(in)) return false;
       mems[l] = std::move(mem);
     } else if (section.id == storage::kSectionTierSegment) {
       util::ByteReader in{std::span(section.payload)};

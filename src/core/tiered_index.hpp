@@ -3,8 +3,9 @@
 //
 // Layout: ids are hash-partitioned across a few independent LANES. Each
 // lane holds one small mutable MemtableIndex guarded by its own
-// shared_mutex, plus a lock-free, newest-first list of ImmutableSegments
-// published through an atomic shared_ptr. Inserts derive bucket keys
+// shared_mutex, plus a newest-first list of ImmutableSegments published
+// as one shared_ptr (readers copy it under a leaf mutex and then read the
+// immutable segments with no lock). Inserts derive bucket keys
 // OUTSIDE any lock, then take only their lane's mutex for the bounded
 // placement work; once a memtable reaches tier.seal_threshold mentions it
 // is sealed — an O(1) move into a frozen segment — off the hot path.
@@ -143,12 +144,34 @@ class TieredIndex final : public IndexBackend {
   void wait_idle() const;
 
  private:
+  /// A lane's published segment list. Not std::atomic<std::shared_ptr>:
+  /// libstdc++ 12's load() drops its internal lock bit with a relaxed
+  /// RMW, so its read of the stored pointer is not ordered before the next
+  /// store's write, a data race under the C++ memory model (TSan reports
+  /// it). A leaf mutex held only for the pointer copy has no such gap.
+  class PublishedSegments {
+   public:
+    std::shared_ptr<const SegmentList> load() const {
+      std::lock_guard<std::mutex> lk(mutex_);
+      return list_;
+    }
+    /// The replaced list is released by the caller, outside the lock.
+    void store(std::shared_ptr<const SegmentList> list) {
+      std::lock_guard<std::mutex> lk(mutex_);
+      list_.swap(list);
+    }
+
+   private:
+    mutable std::mutex mutex_;
+    std::shared_ptr<const SegmentList> list_;
+  };
+
   struct Lane {
     mutable std::shared_mutex mem_mutex;
     std::unique_ptr<MemtableIndex> mem;
-    /// Lock-free reads; replaced under publish_mutex (seal prepend, bloom
-    /// upgrade, compaction splice).
-    std::atomic<std::shared_ptr<const SegmentList>> segments;
+    /// Replaced under publish_mutex (seal prepend, bloom upgrade,
+    /// compaction splice); readers never take publish_mutex.
+    PublishedSegments segments;
     std::mutex publish_mutex;
   };
 

@@ -29,26 +29,6 @@ struct CuckooStats {
   /// a bare table's stats() leaves them 0 — use size()/capacity() there).
   std::size_t occupied_slots = 0; ///< entries currently stored
   std::size_t capacity_slots = 0; ///< total slots (chain heads for chained)
-  /// Fingerprint matches whose out-of-line full-key verification failed
-  /// (compact backend only; always 0 for full-key tables).
-  std::size_t fingerprint_false_hits = 0;
-};
-
-/// Roofline accounting for a single probe-path operation, filled by the
-/// table when the caller passes one (never allocated on the probe path).
-/// `bytes_touched` models the memory the probe loop actually reads: whole
-/// slots for AoS layouts, fingerprint lanes plus verified side entries for
-/// the compact layout — the quantity the fingerprint compression shrinks.
-struct ProbeProfile {
-  std::size_t slots_scanned = 0;          ///< candidate slots examined
-  std::size_t bytes_touched = 0;          ///< probe working-set bytes read
-  std::size_t fingerprint_false_hits = 0; ///< fp matched, full key did not
-
-  void merge(const ProbeProfile& o) noexcept {
-    slots_scanned += o.slots_scanned;
-    bytes_touched += o.bytes_touched;
-    fingerprint_false_hits += o.fingerprint_false_hits;
-  }
 };
 
 class CuckooTable {

@@ -95,25 +95,15 @@ bool FlatCuckooTable::insert(std::uint64_t key, std::uint64_t value) {
 }
 
 std::optional<std::uint64_t> FlatCuckooTable::find(
-    std::uint64_t key, ProbeProfile* profile) const noexcept {
-  // AoS layout: every examined candidate drags a whole padded Slot through
-  // the cache, whether or not the key matches.
+    std::uint64_t key) const noexcept {
   const std::size_t b1 = base1(key);
   for (std::size_t w = 0; w < window_; ++w) {
     const Slot& s = slots_[wrap(b1, w)];
-    if (profile != nullptr) {
-      ++profile->slots_scanned;
-      profile->bytes_touched += sizeof(Slot);
-    }
     if (s.occupied && s.key == key) return s.value;
   }
   const std::size_t b2 = base2(key);
   for (std::size_t w = 0; w < window_; ++w) {
     const Slot& s = slots_[wrap(b2, w)];
-    if (profile != nullptr) {
-      ++profile->slots_scanned;
-      profile->bytes_touched += sizeof(Slot);
-    }
     if (s.occupied && s.key == key) return s.value;
   }
   return std::nullopt;
@@ -138,7 +128,7 @@ void FlatCuckooTable::serialize(util::ByteWriter& out) const {
 }
 
 std::optional<FlatCuckooTable> FlatCuckooTable::deserialize(
-    util::ByteReader& in) {
+    util::ByteReader& in, std::uint64_t value_limit) {
   FlatCuckooTable table;
   const std::uint64_t capacity = in.u64();
   table.window_ = in.u64();
@@ -150,7 +140,10 @@ std::optional<FlatCuckooTable> FlatCuckooTable::deserialize(
   table.stats_.failures = in.u64();
   table.stats_.total_kicks = in.u64();
   table.stats_.max_kick_chain = in.u64();
-  if (!in.ok() || capacity == 0 || table.window_ == 0 ||
+  // The window bounds the stack candidate buffer and wrap()'s single
+  // subtraction, so a hostile one must never reach a probe.
+  if (!in.ok() || table.window_ == 0 || table.window_ > kMaxCuckooWindow ||
+      capacity < table.window_ ||
       capacity > in.remaining() / 17) {  // 17 bytes per serialized slot
     return std::nullopt;
   }
@@ -160,7 +153,10 @@ std::optional<FlatCuckooTable> FlatCuckooTable::deserialize(
     slot.key = in.u64();
     slot.value = in.u64();
     slot.occupied = in.u8() != 0;
-    if (slot.occupied) ++occupied;
+    if (slot.occupied) {
+      if (slot.value >= value_limit) return std::nullopt;
+      ++occupied;
+    }
   }
   if (!in.ok() || occupied != table.size_) return std::nullopt;
   // Fresh deterministic kick RNG; see serialize() for why this is sound.

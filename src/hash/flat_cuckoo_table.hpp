@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "hash/hashes.hpp"
-#include "hash/cuckoo_table.hpp"  // CuckooStats, ProbeProfile
+#include "hash/cuckoo_table.hpp"  // CuckooStats
 #include "util/codec.hpp"
 #include "util/rng.hpp"
 
@@ -56,6 +56,7 @@ class FlatCuckooTable {
     return static_cast<double>(size_) / static_cast<double>(slots_.size());
   }
   std::size_t window() const noexcept { return window_; }
+  std::size_t max_kicks() const noexcept { return max_kicks_; }
   const CuckooStats& stats() const noexcept { return stats_; }
 
   /// Inserts key -> value (overwrites if present). Returns false when the
@@ -64,10 +65,7 @@ class FlatCuckooTable {
   bool insert(std::uint64_t key, std::uint64_t value);
 
   /// Probes the key's 2*W candidate slots. O(1) with a hard constant bound.
-  /// When `profile` is non-null it accumulates the slots scanned and bytes
-  /// touched (roofline accounting; see ProbeProfile).
-  std::optional<std::uint64_t> find(
-      std::uint64_t key, ProbeProfile* profile = nullptr) const noexcept;
+  std::optional<std::uint64_t> find(std::uint64_t key) const noexcept;
 
   bool contains(std::uint64_t key) const noexcept {
     return find(key).has_value();
@@ -91,8 +89,11 @@ class FlatCuckooTable {
   void serialize(util::ByteWriter& out) const;
 
   /// Inverse of serialize(). Returns nullopt on truncated or internally
-  /// inconsistent input (occupancy count mismatch, zero capacity).
-  static std::optional<FlatCuckooTable> deserialize(util::ByteReader& in);
+  /// inconsistent input: occupancy count mismatch, zero capacity, a window
+  /// outside [1, kMaxCuckooWindow] or wider than the table, or a stored
+  /// value >= `value_limit` (the caller's bound on what values may name).
+  static std::optional<FlatCuckooTable> deserialize(util::ByteReader& in,
+                                                    std::uint64_t value_limit);
 
  private:
   /// Uninitialized shell for deserialize() to fill.

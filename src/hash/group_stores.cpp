@@ -9,45 +9,32 @@ namespace {
 constexpr double kGrowAt = 0.80;
 }  // namespace
 
-template <typename TableT>
-WindowedCuckooGroupStore<TableT>::WindowedCuckooGroupStore(
-    const FlatCuckooConfig& base, std::size_t tables)
+FlatCuckooGroupStore::FlatCuckooGroupStore(const FlatCuckooConfig& base,
+                                           std::size_t tables)
     : base_(base) {
   tables_.reserve(tables);
   for (std::size_t t = 0; t < tables; ++t) {
     FlatCuckooConfig cc = base_;
     cc.seed = base_.seed + t * 0x9e37ULL;
-    tables_.push_back(Table{TableT(cc), {}, cc.seed});
+    tables_.push_back(Table{FlatCuckooTable(cc), {}, cc.seed});
   }
 }
 
-template <typename TableT>
-std::optional<std::uint64_t> WindowedCuckooGroupStore<TableT>::find(
-    std::size_t t, std::uint64_t key, std::size_t* probes,
-    ProbeProfile* profile) const {
+std::optional<std::uint64_t> FlatCuckooGroupStore::find(
+    std::size_t t, std::uint64_t key, std::size_t* probes) const {
   // Flat addressing: every lookup is the same fixed 2W slot reads.
   if (probes != nullptr) *probes = tables_[t].cuckoo.probes_per_lookup();
-  ProbeProfile local;
-  const auto hit = tables_[t].cuckoo.find(key, &local);
-  if (local.fingerprint_false_hits != 0) {
-    find_false_hits_.fetch_add(local.fingerprint_false_hits,
-                               std::memory_order_relaxed);
-  }
-  if (profile != nullptr) profile->merge(local);
-  return hit;
+  return tables_[t].cuckoo.find(key);
 }
 
-template <typename TableT>
-void WindowedCuckooGroupStore<TableT>::maybe_grow(std::size_t t) {
-  Table& table = tables_[t];
-  if (table.cuckoo.load_factor() < kGrowAt) return;
-  std::size_t capacity = table.cuckoo.capacity() * 2;
-  for (;;) {
+std::size_t FlatCuckooGroupStore::rebuild(Table& table,
+                                          std::size_t capacity) {
+  for (std::size_t attempts = 1;; ++attempts) {
     table.seed = mix64(table.seed + 1);
     FlatCuckooConfig cc = base_;
     cc.capacity = capacity;
     cc.seed = table.seed;
-    TableT rebuilt(cc);
+    FlatCuckooTable rebuilt(cc);
     bool ok = true;
     for (const auto& [k, g] : table.entries) {
       if (!rebuilt.insert(k, g)) {
@@ -57,71 +44,48 @@ void WindowedCuckooGroupStore<TableT>::maybe_grow(std::size_t t) {
     }
     if (ok) {
       table.cuckoo = std::move(rebuilt);
-      return;
+      return attempts;
     }
     capacity *= 2;
   }
 }
 
-template <typename TableT>
-std::size_t WindowedCuckooGroupStore<TableT>::place(std::size_t t,
-                                                    std::uint64_t key,
-                                                    std::uint64_t group) {
+void FlatCuckooGroupStore::maybe_grow(std::size_t t) {
+  Table& table = tables_[t];
+  if (table.cuckoo.load_factor() < kGrowAt) return;
+  rebuild(table, table.cuckoo.capacity() * 2);
+}
+
+std::size_t FlatCuckooGroupStore::place(std::size_t t, std::uint64_t key,
+                                        std::uint64_t group) {
   maybe_grow(t);
   Table& table = tables_[t];
   table.entries.emplace_back(key, group);
   if (table.cuckoo.insert(key, group)) return 0;
-
-  // Rehash loop: rebuild this table's cuckoo with a fresh seed (same
-  // capacity first; double it if even a fresh seed cannot place everything,
-  // which only happens near 100% load).
-  std::size_t events = 0;
-  std::size_t capacity = table.cuckoo.capacity();
-  for (;;) {
-    ++events;
-    table.seed = mix64(table.seed + 1);
-    FlatCuckooConfig cc = base_;
-    cc.capacity = capacity;
-    cc.seed = table.seed;
-    TableT rebuilt(cc);
-    bool ok = true;
-    for (const auto& [k, g] : table.entries) {
-      if (!rebuilt.insert(k, g)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      table.cuckoo = std::move(rebuilt);
-      return events;
-    }
-    capacity *= 2;
-  }
+  // Rehash: rebuild this table's cuckoo with a fresh seed (same capacity
+  // first; rebuild() doubles it only near 100% load). Every seed tried is
+  // one rehash event.
+  return rebuild(table, table.cuckoo.capacity());
 }
 
-template <typename TableT>
-void WindowedCuckooGroupStore<TableT>::erase_key(std::size_t t,
-                                                 std::uint64_t key) {
+void FlatCuckooGroupStore::erase_key(std::size_t t, std::uint64_t key) {
   // The append-only rebuild log keeps the mapping; a rebuilt table would
   // resurrect the key pointing at an empty group — harmless.
   tables_[t].cuckoo.erase(key);
 }
 
-template <typename TableT>
-std::size_t WindowedCuckooGroupStore<TableT>::lookup_cost_probes(
+std::size_t FlatCuckooGroupStore::lookup_cost_probes(
     std::size_t t) const noexcept {
   return tables_[t].cuckoo.probes_per_lookup();
 }
 
-template <typename TableT>
-std::size_t WindowedCuckooGroupStore<TableT>::store_bytes() const noexcept {
+std::size_t FlatCuckooGroupStore::store_bytes() const noexcept {
   std::size_t bytes = 0;
   for (const Table& t : tables_) bytes += t.cuckoo.memory_bytes();
   return bytes;
 }
 
-template <typename TableT>
-CuckooStats WindowedCuckooGroupStore<TableT>::stats() const noexcept {
+CuckooStats FlatCuckooGroupStore::stats() const noexcept {
   CuckooStats total;
   for (const Table& t : tables_) {
     const CuckooStats& s = t.cuckoo.stats();
@@ -131,15 +95,11 @@ CuckooStats WindowedCuckooGroupStore<TableT>::stats() const noexcept {
     total.max_kick_chain = std::max(total.max_kick_chain, s.max_kick_chain);
     total.occupied_slots += t.cuckoo.size();
     total.capacity_slots += t.cuckoo.capacity();
-    total.fingerprint_false_hits += s.fingerprint_false_hits;
   }
-  total.fingerprint_false_hits +=
-      find_false_hits_.load(std::memory_order_relaxed);
   return total;
 }
 
-template <typename TableT>
-void WindowedCuckooGroupStore<TableT>::serialize(util::ByteWriter& out) const {
+void FlatCuckooGroupStore::serialize(util::ByteWriter& out) const {
   out.u32(static_cast<std::uint32_t>(tables_.size()));
   for (const Table& table : tables_) {
     out.u64(table.seed);
@@ -153,8 +113,8 @@ void WindowedCuckooGroupStore<TableT>::serialize(util::ByteWriter& out) const {
   }
 }
 
-template <typename TableT>
-bool WindowedCuckooGroupStore<TableT>::deserialize(util::ByteReader& in) {
+bool FlatCuckooGroupStore::deserialize(util::ByteReader& in,
+                                       std::uint64_t group_count) {
   const std::uint32_t tables = in.u32();
   if (!in.ok() || tables != tables_.size()) return false;
   for (Table& table : tables_) {
@@ -166,17 +126,21 @@ bool WindowedCuckooGroupStore<TableT>::deserialize(util::ByteReader& in) {
     for (std::uint64_t i = 0; i < entries; ++i) {
       const std::uint64_t key = in.u64();
       const std::uint64_t group = in.u64();
+      // A rebuild replays the log into the table, so it is checked too.
+      if (group >= group_count) return false;
       table.entries.emplace_back(key, group);
     }
-    auto cuckoo = TableT::deserialize(in);
-    if (!cuckoo.has_value()) return false;
+    auto cuckoo = FlatCuckooTable::deserialize(in, group_count);
+    // Every table this store builds keeps the configured window and kick
+    // budget; a stored budget is otherwise an unbounded insert loop.
+    if (!cuckoo.has_value() || cuckoo->window() != base_.window ||
+        cuckoo->max_kicks() != base_.max_kicks) {
+      return false;
+    }
     table.cuckoo = std::move(*cuckoo);
   }
   return in.ok();
 }
-
-template class WindowedCuckooGroupStore<FlatCuckooTable>;
-template class WindowedCuckooGroupStore<CompactFlatCuckooTable>;
 
 ChainedGroupStore::ChainedGroupStore(std::size_t buckets, std::uint64_t seed,
                                      std::size_t tables) {
@@ -187,19 +151,11 @@ ChainedGroupStore::ChainedGroupStore(std::size_t buckets, std::uint64_t seed,
 }
 
 std::optional<std::uint64_t> ChainedGroupStore::find(
-    std::size_t t, std::uint64_t key, std::size_t* probes,
-    ProbeProfile* profile) const {
+    std::size_t t, std::uint64_t key, std::size_t* probes) const {
   // Vertical addressing: the probe cost is the chain walk, data-dependent.
   std::size_t walked = 0;
   const std::vector<std::uint64_t> values = tables_[t].find(key, &walked);
   if (probes != nullptr) *probes = walked;
-  if (profile != nullptr) {
-    // Head-pointer read plus one (key, value, next) node per walked probe.
-    profile->slots_scanned += walked;
-    profile->bytes_touched +=
-        sizeof(std::int64_t) +
-        walked * (2 * sizeof(std::uint64_t) + sizeof(std::int64_t));
-  }
   if (values.empty()) return std::nullopt;
   return values.front();
 }
@@ -235,11 +191,12 @@ void ChainedGroupStore::serialize(util::ByteWriter& out) const {
   for (const LshTableChained& table : tables_) table.serialize(out);
 }
 
-bool ChainedGroupStore::deserialize(util::ByteReader& in) {
+bool ChainedGroupStore::deserialize(util::ByteReader& in,
+                                    std::uint64_t group_count) {
   const std::uint32_t tables = in.u32();
   if (!in.ok() || tables != tables_.size()) return false;
   for (LshTableChained& table : tables_) {
-    auto restored = LshTableChained::deserialize(in);
+    auto restored = LshTableChained::deserialize(in, group_count);
     if (!restored.has_value()) return false;
     table = std::move(*restored);
   }

@@ -4,45 +4,32 @@
 //    windowed cuckoo tables with proactive doubling at 80% load and
 //    full-table rehash on placement failure (§III-C3, Fig. 6). Lookups are
 //    a fixed 2W independent slot reads.
-//  - CompactFlatCuckooGroupStore: the same addressing over the
-//    fingerprint-compressed struct-of-arrays table (DESIGN.md §3h) — 2-byte
-//    fingerprint lane scanned first, full keys out-of-line — shrinking the
-//    probe working set ~4x while staying bit-identical to flat.
 //  - ChainedGroupStore: conventional vertical addressing (bucket chains of
 //    unbounded length), the baseline the paper argues against. Kept as a
 //    runtime-selectable backend so ablations measure the probe-cost gap
 //    without bench-only forks of the pipeline.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "core/pipeline/group_store.hpp"
-#include "hash/compact_flat_cuckoo_table.hpp"
 #include "hash/flat_cuckoo_table.hpp"
 #include "hash/lsh_table_chained.hpp"
 
 namespace fast::hash {
 
-/// Shared windowed-cuckoo GroupStore machinery: per-table salted seeds, the
-/// append-only rebuild log, proactive growth, and the rehash loop are
-/// identical across the full-key and fingerprint-compressed tables; only
-/// the slot layout (TableT) differs. The flat instantiation's serialized
-/// bytes are unchanged from the pre-template FlatCuckooGroupStore.
-template <typename TableT>
-class WindowedCuckooGroupStore : public core::pipeline::GroupStore {
+class FlatCuckooGroupStore final : public core::pipeline::GroupStore {
  public:
   /// `tables` cuckoo tables derived from `base` with per-table salted seeds.
-  WindowedCuckooGroupStore(const FlatCuckooConfig& base, std::size_t tables);
+  FlatCuckooGroupStore(const FlatCuckooConfig& base, std::size_t tables);
 
   std::size_t table_count() const noexcept override {
     return tables_.size();
   }
-  std::optional<std::uint64_t> find(
-      std::size_t t, std::uint64_t key, std::size_t* probes,
-      ProbeProfile* profile) const override;
+  std::optional<std::uint64_t> find(std::size_t t, std::uint64_t key,
+                                    std::size_t* probes) const override;
   std::size_t place(std::size_t t, std::uint64_t key,
                     std::uint64_t group) override;
   void erase_key(std::size_t t, std::uint64_t key) override;
@@ -50,11 +37,11 @@ class WindowedCuckooGroupStore : public core::pipeline::GroupStore {
   std::size_t store_bytes() const noexcept override;
   CuckooStats stats() const noexcept override;
   void serialize(util::ByteWriter& out) const override;
-  bool deserialize(util::ByteReader& in) override;
+  bool deserialize(util::ByteReader& in, std::uint64_t group_count) override;
 
  private:
   struct Table {
-    TableT cuckoo;
+    FlatCuckooTable cuckoo;
     /// Append-only (key -> group) log enabling rebuild on rehash.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
     std::uint64_t seed;
@@ -64,27 +51,13 @@ class WindowedCuckooGroupStore : public core::pipeline::GroupStore {
   /// threshold (amortized O(1) insert despite fixed-size tables).
   void maybe_grow(std::size_t t);
 
+  /// Rebuilds `table` from its log under fresh seeds, starting at
+  /// `capacity` and doubling whenever even a fresh seed cannot place every
+  /// entry. Returns the number of seeds tried.
+  std::size_t rebuild(Table& table, std::size_t capacity);
+
   FlatCuckooConfig base_;
   std::vector<Table> tables_;
-  /// Find-path fingerprint false hits. find() is const and runs under
-  /// shared locks, so the tally lives here as a relaxed atomic instead of
-  /// in the (unsynchronized) per-table stats.
-  mutable std::atomic<std::uint64_t> find_false_hits_{0};
-};
-
-extern template class WindowedCuckooGroupStore<FlatCuckooTable>;
-extern template class WindowedCuckooGroupStore<CompactFlatCuckooTable>;
-
-class FlatCuckooGroupStore final
-    : public WindowedCuckooGroupStore<FlatCuckooTable> {
- public:
-  using WindowedCuckooGroupStore::WindowedCuckooGroupStore;
-};
-
-class CompactFlatCuckooGroupStore final
-    : public WindowedCuckooGroupStore<CompactFlatCuckooTable> {
- public:
-  using WindowedCuckooGroupStore::WindowedCuckooGroupStore;
 };
 
 class ChainedGroupStore final : public core::pipeline::GroupStore {
@@ -96,9 +69,8 @@ class ChainedGroupStore final : public core::pipeline::GroupStore {
   std::size_t table_count() const noexcept override {
     return tables_.size();
   }
-  std::optional<std::uint64_t> find(
-      std::size_t t, std::uint64_t key, std::size_t* probes,
-      ProbeProfile* profile) const override;
+  std::optional<std::uint64_t> find(std::size_t t, std::uint64_t key,
+                                    std::size_t* probes) const override;
   std::size_t place(std::size_t t, std::uint64_t key,
                     std::uint64_t group) override;
   void erase_key(std::size_t t, std::uint64_t key) override;
@@ -106,7 +78,7 @@ class ChainedGroupStore final : public core::pipeline::GroupStore {
   std::size_t store_bytes() const noexcept override;
   CuckooStats stats() const noexcept override;
   void serialize(util::ByteWriter& out) const override;
-  bool deserialize(util::ByteReader& in) override;
+  bool deserialize(util::ByteReader& in, std::uint64_t group_count) override;
 
  private:
   std::vector<LshTableChained> tables_;

@@ -86,7 +86,7 @@ void LshTableChained::serialize(util::ByteWriter& out) const {
 }
 
 std::optional<LshTableChained> LshTableChained::deserialize(
-    util::ByteReader& in) {
+    util::ByteReader& in, std::uint64_t value_limit) {
   LshTableChained table;
   const std::uint64_t buckets = in.u64();
   const std::uint64_t nodes = in.u64();
@@ -97,20 +97,24 @@ std::optional<LshTableChained> LshTableChained::deserialize(
       nodes > (in.remaining() - buckets * 8) / 24) {
     return std::nullopt;
   }
-  const auto valid_link = [&](std::int64_t link) {
-    return link >= -1 && link < static_cast<std::int64_t>(nodes);
+  // A link is -1 (end of chain) or a node index below `bound`.
+  const auto valid_link = [](std::int64_t link, std::uint64_t bound) {
+    return link >= -1 && link < static_cast<std::int64_t>(bound);
   };
   table.heads_.resize(buckets);
   for (std::int64_t& head : table.heads_) {
     head = static_cast<std::int64_t>(in.u64());
-    if (!valid_link(head)) return std::nullopt;
+    if (!valid_link(head, nodes)) return std::nullopt;
   }
   table.nodes_.resize(nodes);
-  for (Node& node : table.nodes_) {
+  for (std::uint64_t i = 0; i < nodes; ++i) {
+    Node& node = table.nodes_[i];
     node.key = in.u64();
     node.value = in.u64();
     node.next = static_cast<std::int64_t>(in.u64());
-    if (!valid_link(node.next)) return std::nullopt;
+    if (!valid_link(node.next, i) || node.value >= value_limit) {
+      return std::nullopt;
+    }
   }
   if (!in.ok() || table.size_ > nodes) return std::nullopt;
   return table;

@@ -50,9 +50,12 @@ class LshTableChained {
   /// salt — so a deserialized table is bit-identical, probe costs included.
   void serialize(util::ByteWriter& out) const;
 
-  /// Inverse of serialize(). Returns nullopt on truncated input or node
-  /// links pointing outside the arena.
-  static std::optional<LshTableChained> deserialize(util::ByteReader& in);
+  /// Inverse of serialize(). Returns nullopt on truncated input, a link
+  /// that does not point at an OLDER node (every chain is acyclic: insert
+  /// links to the previous head, erase splices to a still older node), or
+  /// a stored value >= `value_limit`.
+  static std::optional<LshTableChained> deserialize(util::ByteReader& in,
+                                                    std::uint64_t value_limit);
 
  private:
   LshTableChained() : salt_(0) {}  ///< shell for deserialize() to fill

@@ -124,8 +124,6 @@ const char* chs_backend_name(core::FastConfig::ChsBackend b) {
   switch (b) {
     case core::FastConfig::ChsBackend::kFlatCuckoo: return "flat";
     case core::FastConfig::ChsBackend::kChained: return "chained";
-    case core::FastConfig::ChsBackend::kCompactFlatCuckoo:
-      return "flat_compact";
   }
   return "unknown";
 }

@@ -43,11 +43,8 @@ inline constexpr std::uint32_t kSectionStore = 4;
 inline constexpr std::uint32_t kSectionTierManifest = 5;
 inline constexpr std::uint32_t kSectionTierMemtable = 6;
 inline constexpr std::uint32_t kSectionTierSegment = 7;
-// CHS store serialized by the fingerprint-compressed compact backend. A
-// distinct id (on top of the chs_backend config-fingerprint gate) so
-// readers built before the compact backend reject such snapshots outright
-// instead of misreading the section as a full-key store.
-inline constexpr std::uint32_t kSectionStoreCompact = 8;
+// Id 8 is reserved: it held the store of a removed fingerprint-compressed
+// CHS backend and must never be reused for another payload.
 
 struct SnapshotSection {
   std::uint32_t id = 0;

@@ -11,7 +11,6 @@
 
 #include "hash/aggregators.hpp"
 #include "hash/bloom_filter.hpp"
-#include "hash/compact_flat_cuckoo_table.hpp"
 #include "hash/counting_bloom.hpp"
 #include "hash/cuckoo_table.hpp"
 #include "hash/flat_cuckoo_table.hpp"
@@ -709,130 +708,21 @@ TEST(FlatCuckoo, FailedInsertIsANoOp) {
   EXPECT_EQ(t.size(), 0u);
 }
 
-// ---------- fingerprint-compressed flat cuckoo ----------
-
-TEST(CompactFlatCuckoo, InsertFindErase) {
-  FlatCuckooConfig cfg;
-  cfg.capacity = 64;
-  CompactFlatCuckooTable t(cfg);
-  EXPECT_TRUE(t.insert(1, 10));
-  EXPECT_EQ(t.find(1).value(), 10u);
-  EXPECT_TRUE(t.erase(1));
-  EXPECT_FALSE(t.contains(1));
-  EXPECT_EQ(t.size(), 0u);
-}
-
-TEST(CompactFlatCuckoo, OverwriteInPlace) {
-  FlatCuckooConfig cfg;
-  cfg.capacity = 64;
-  CompactFlatCuckooTable t(cfg);
-  t.insert(9, 1);
-  t.insert(9, 2);
-  EXPECT_EQ(t.find(9).value(), 2u);
-  EXPECT_EQ(t.size(), 1u);
-}
-
-TEST(CompactFlatCuckoo, SustainsHighLoad) {
-  FlatCuckooConfig cfg;
-  cfg.capacity = 1024;
-  cfg.window = 4;
-  CompactFlatCuckooTable t(cfg);
-  std::size_t ok = 0;
-  for (std::uint64_t i = 0; i < 921; ++i) ok += t.insert(i, i);
-  EXPECT_EQ(ok, 921u);
-  for (std::uint64_t i = 0; i < 921; ++i) {
-    ASSERT_TRUE(t.contains(i));
-    ASSERT_EQ(t.find(i).value(), i);
+/// Overwrites the little-endian u64 at `at` (the ByteWriter encoding).
+void put_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(v >> (8 * i));
   }
 }
 
-TEST(CompactFlatCuckoo, ProbesPerLookupIsTwoW) {
-  FlatCuckooConfig cfg;
-  cfg.window = 4;
-  CompactFlatCuckooTable t(cfg);
-  EXPECT_EQ(t.probes_per_lookup(), 8u);
-}
-
-TEST(CompactFlatCuckoo, FailedInsertIsANoOp) {
-  FlatCuckooConfig cfg;
-  cfg.capacity = 16;
-  cfg.window = 1;
-  cfg.max_kicks = 4;
-  CompactFlatCuckooTable t(cfg);
-
-  std::map<std::uint64_t, std::uint64_t> resident;
-  std::uint64_t failed_key = 0;
-  bool failed = false;
-  for (std::uint64_t i = 0; i < 64 && !failed; ++i) {
-    const std::uint64_t key = 0x9e3779b9ULL * (i + 1);
-    if (t.insert(key, i)) {
-      resident[key] = i;
-    } else {
-      failed = true;
-      failed_key = key;
-    }
-  }
-  ASSERT_TRUE(failed) << "table absorbed 64 keys into 16 slots";
-
-  // Rollback must also return the failed key's side-array entry to the free
-  // list: size, residents, and erasability all intact.
-  EXPECT_EQ(t.size(), resident.size());
-  EXPECT_FALSE(t.contains(failed_key));
-  EXPECT_GE(t.stats().failures, 1u);
-  for (const auto& [key, value] : resident) {
-    const auto found = t.find(key);
-    ASSERT_TRUE(found.has_value()) << key;
-    EXPECT_EQ(*found, value) << key;
-  }
-  for (const auto& [key, value] : resident) {
-    EXPECT_TRUE(t.erase(key)) << key;
-  }
-  EXPECT_EQ(t.size(), 0u);
-  // The freed side entries are reusable: the table refills to the same
-  // occupancy it reached before.
-  for (const auto& [key, value] : resident) {
-    EXPECT_TRUE(t.insert(key, value)) << key;
-  }
-  EXPECT_EQ(t.size(), resident.size());
-}
-
-// A key whose 16-bit fingerprint collides with a resident key's must fall
-// back to full-key verification: the lookup reports a fingerprint false
-// hit but returns not-found, and an erase of the colliding key must not
-// evict the resident one.
-TEST(CompactFlatCuckoo, FingerprintCollisionFallsBackToFullKey) {
-  FlatCuckooConfig cfg;
-  cfg.capacity = 4;  // tiny table: candidate windows overlap heavily
-  cfg.window = 2;
-  CompactFlatCuckooTable t(cfg);
-  const std::uint64_t resident = 0xfeedULL;
-  ASSERT_TRUE(t.insert(resident, 7));
-
-  // Brute-force a distinct key with the same 16-bit fingerprint that also
-  // scans the resident key's slot.
-  bool collided = false;
-  for (std::uint64_t k = 1; k < 4'000'000 && !collided; ++k) {
-    if (k == resident || t.fingerprint(k) != t.fingerprint(resident)) {
-      continue;
-    }
-    ProbeProfile profile;
-    const auto found = t.find(k, &profile);
-    if (profile.fingerprint_false_hits == 0) continue;  // windows disjoint
-    collided = true;
-    EXPECT_FALSE(found.has_value());
-    EXPECT_FALSE(t.erase(k));
-    EXPECT_EQ(t.find(resident).value(), 7u);
-    EXPECT_EQ(t.size(), 1u);
-  }
-  EXPECT_TRUE(collided) << "no fingerprint-colliding probe key found";
-}
-
-TEST(CompactFlatCuckoo, SerializeRoundTrip) {
+TEST(FlatCuckoo, SerializeRoundTrip) {
   FlatCuckooConfig cfg;
   cfg.capacity = 256;
   cfg.window = 4;
   cfg.seed = 0x5eed;
-  CompactFlatCuckooTable t(cfg);
+  FlatCuckooTable t(cfg);
   for (std::uint64_t i = 0; i < 180; ++i) {
     ASSERT_TRUE(t.insert(mix64(i), i));
   }
@@ -841,7 +731,7 @@ TEST(CompactFlatCuckoo, SerializeRoundTrip) {
   util::ByteWriter out;
   t.serialize(out);
   util::ByteReader in(out.data());
-  auto back = CompactFlatCuckooTable::deserialize(in);
+  auto back = FlatCuckooTable::deserialize(in, 180);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->size(), t.size());
   for (std::uint64_t i = 0; i < 180; ++i) {
@@ -855,74 +745,68 @@ TEST(CompactFlatCuckoo, SerializeRoundTrip) {
   EXPECT_EQ(back->size(), t.size());
 }
 
-TEST(CompactFlatCuckoo, DeserializeRejectsCorruptBytes) {
+// Header: capacity @0, window @8, ..., 80 bytes; then 17-byte slots
+// (key, value, occupied).
+TEST(FlatCuckoo, DeserializeRejectsCorruptBytes) {
   FlatCuckooConfig cfg;
   cfg.capacity = 64;
-  CompactFlatCuckooTable t(cfg);
+  FlatCuckooTable t(cfg);
   for (std::uint64_t i = 0; i < 40; ++i) ASSERT_TRUE(t.insert(mix64(i), i));
   util::ByteWriter out;
   t.serialize(out);
+  const auto rejects = [](const std::vector<std::uint8_t>& bytes,
+                          std::uint64_t value_limit) {
+    util::ByteReader in(bytes);
+    return !FlatCuckooTable::deserialize(in, value_limit).has_value();
+  };
 
   {  // truncated
-    const auto& bytes = out.data();
-    util::ByteReader in(std::span(bytes.data(), bytes.size() / 2));
-    EXPECT_FALSE(CompactFlatCuckooTable::deserialize(in).has_value());
+    const std::vector<std::uint8_t> bytes(
+        out.data().begin(),
+        out.data().begin() +
+            static_cast<std::ptrdiff_t>(out.data().size() / 2));
+    EXPECT_TRUE(rejects(bytes, 40));
   }
-  {  // bad magic
+  // A window past the stack candidate buffer, a zero window, and one wider
+  // than the table would all corrupt the first probe.
+  for (const std::uint64_t window :
+       {std::uint64_t{0}, std::uint64_t{kMaxCuckooWindow + 1},
+        std::uint64_t{1} << 40}) {
     std::vector<std::uint8_t> bytes = out.data();
-    bytes[0] ^= 0xff;
-    util::ByteReader in(bytes);
-    EXPECT_FALSE(CompactFlatCuckooTable::deserialize(in).has_value());
+    put_u64(bytes, 8, window);
+    EXPECT_TRUE(rejects(bytes, 40)) << window;
   }
+  {
+    std::vector<std::uint8_t> bytes = out.data();
+    put_u64(bytes, 0, 2);  // capacity below the window
+    EXPECT_TRUE(rejects(bytes, 40));
+  }
+  // Values are group ids: one at or past the caller's limit is rejected.
+  EXPECT_TRUE(rejects(out.data(), 39));
+  EXPECT_FALSE(rejects(out.data(), 40));
 }
 
-// Lockstep property test: the compact table is parity-by-construction with
-// the flat table — same salts, same candidate geometry, same kick RNG
-// stream — so a random history of inserts, overwrites, erases and
-// re-inserts (driven well past the load where inserts start failing) must
-// produce identical outcomes on both, op by op, including the rollback
-// path of failed inserts.
-TEST(CompactFlatCuckoo, LockstepParityWithFlatUnderRandomHistory) {
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    FlatCuckooConfig cfg;
-    cfg.capacity = 128;
-    cfg.window = 2;
-    cfg.max_kicks = 32;
-    cfg.seed = 0xbead + seed;
-    FlatCuckooTable flat(cfg);
-    CompactFlatCuckooTable compact(cfg);
+TEST(ChainedTable, DeserializeRejectsBadLinksAndValues) {
+  LshTableChained t(4, 0x5eed);
+  for (std::uint64_t i = 0; i < 6; ++i) t.insert(mix64(i), i);
+  util::ByteWriter out;
+  t.serialize(out);
+  const auto rejects = [](const std::vector<std::uint8_t>& bytes,
+                          std::uint64_t value_limit) {
+    util::ByteReader in(bytes);
+    return !LshTableChained::deserialize(in, value_limit).has_value();
+  };
+  EXPECT_FALSE(rejects(out.data(), 6));
+  EXPECT_TRUE(rejects(out.data(), 5));
 
-    util::Rng rng(0x1057 + seed);
-    std::size_t failures = 0;
-    for (std::size_t op = 0; op < 4000; ++op) {
-      // Key universe ~2x capacity keeps the table saturated so the kick
-      // and rollback paths run constantly.
-      const std::uint64_t key = mix64(rng.uniform_u64(256));
-      switch (rng.uniform_u64(4)) {
-        case 0:
-        case 1: {  // insert / overwrite / re-insert
-          const bool f = flat.insert(key, op);
-          const bool c = compact.insert(key, op);
-          ASSERT_EQ(f, c) << "insert diverged at op " << op;
-          failures += !f;
-          break;
-        }
-        case 2: {  // erase
-          ASSERT_EQ(flat.erase(key), compact.erase(key)) << "op " << op;
-          break;
-        }
-        default: {  // find
-          ASSERT_EQ(flat.find(key), compact.find(key)) << "op " << op;
-          break;
-        }
-      }
-      ASSERT_EQ(flat.size(), compact.size()) << "op " << op;
-    }
-    EXPECT_GT(failures, 0u) << "history never exercised the rollback path";
-    // Full-universe sweep at the end: every key agrees.
-    for (std::uint64_t u = 0; u < 256; ++u) {
-      ASSERT_EQ(flat.find(mix64(u)), compact.find(mix64(u))) << u;
-    }
+  // Header: buckets, nodes, salt, size (32 bytes); 4 heads; then 24-byte
+  // nodes (key, value, next). A link to the node itself (or any newer
+  // node) would make a chain walk loop forever.
+  const std::size_t nodes_at = 32 + 4 * 8;
+  for (const std::uint64_t node : {std::uint64_t{0}, std::uint64_t{3}}) {
+    std::vector<std::uint8_t> bytes = out.data();
+    put_u64(bytes, nodes_at + node * 24 + 16, node);
+    EXPECT_TRUE(rejects(bytes, 6)) << node;
   }
 }
 

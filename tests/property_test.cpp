@@ -344,13 +344,7 @@ INSTANTIATE_TEST_SUITE_P(
         RecoveryRoundTripParams{3, core::FastConfig::ChsBackend::kFlatCuckoo},
         RecoveryRoundTripParams{4, core::FastConfig::ChsBackend::kChained},
         RecoveryRoundTripParams{5, core::FastConfig::ChsBackend::kChained},
-        RecoveryRoundTripParams{6, core::FastConfig::ChsBackend::kChained},
-        RecoveryRoundTripParams{
-            7, core::FastConfig::ChsBackend::kCompactFlatCuckoo},
-        RecoveryRoundTripParams{
-            8, core::FastConfig::ChsBackend::kCompactFlatCuckoo},
-        RecoveryRoundTripParams{
-            9, core::FastConfig::ChsBackend::kCompactFlatCuckoo}));
+        RecoveryRoundTripParams{6, core::FastConfig::ChsBackend::kChained}));
 
 // ---------- Cluster model: LPT bound property --------------------------
 

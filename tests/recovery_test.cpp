@@ -571,55 +571,13 @@ INSTANTIATE_TEST_SUITE_P(
                       storage::FaultPlan::Kind::kShortWrite,
                       storage::FaultPlan::Kind::kTornWrite));
 
-// ---------------------------------------------------------------------------
-// Fingerprint-compressed backend durability
-// ---------------------------------------------------------------------------
-
-// Snapshot + WAL-tail round trip with the compact store section: the
-// recovered index must be bit-identical to a reference that applied the
-// same mutations in-memory.
-TEST(RecoveryTest, CompactBackendRoundTripsSnapshotAndWal) {
-  const FastConfig cfg =
-      small_config(FastConfig::ChsBackend::kCompactFlatCuckoo);
-  const vision::PcaModel pca = test::fake_pca();
-  DurabilityOptions opts;
-  opts.dir = fresh_dir("compact_roundtrip");
-
-  FastIndex reference(cfg, pca);
-  {
-    auto opened = FastIndex::open_or_recover(cfg, pca, opts);
-    ASSERT_TRUE(opened.ok());
-    FastIndex durable = std::move(opened).value();
-    for (std::uint64_t id = 0; id < 24; ++id) {
-      const auto sig = make_signature(id, cfg.bloom_bits);
-      durable.insert_signature(id, sig);
-      reference.insert_signature(id, sig);
-    }
-    ASSERT_TRUE(durable.erase(5));
-    ASSERT_TRUE(reference.erase(5));
-    ASSERT_TRUE(durable.save_snapshot().ok());
-    // WAL tail past the snapshot, including a re-insert of the erased id.
-    for (std::uint64_t id : {5ULL, 30ULL, 31ULL}) {
-      const auto sig = make_signature(100 + id, cfg.bloom_bits);
-      durable.insert_signature(id, sig);
-      reference.insert_signature(id, sig);
-    }
-  }
-  RecoveryStats stats;
-  auto recovered = FastIndex::open_or_recover(cfg, pca, opts, &stats);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
-  EXPECT_TRUE(stats.loaded_snapshot);
-  EXPECT_GT(stats.replayed_records, 0u);
-  expect_same_state(recovered.value(), reference);
-}
-
-// A directory written by one cuckoo backend must be rejected by the other
-// as a config mismatch — a typed, recoverable error, never parsed as the
-// wrong section format (which would surface as corruption).
-TEST(RecoveryTest, FlatCompactDirectoryMismatchIsConfigError) {
+// A directory written by one CHS backend must be rejected by the other as
+// a config mismatch — a typed, recoverable error, never parsed as the wrong
+// store format (which would surface as corruption).
+TEST(RecoveryTest, FlatChainedDirectoryMismatchIsConfigError) {
   const vision::PcaModel pca = test::fake_pca();
   const auto backends = {FastConfig::ChsBackend::kFlatCuckoo,
-                         FastConfig::ChsBackend::kCompactFlatCuckoo};
+                         FastConfig::ChsBackend::kChained};
   int dir_no = 0;
   for (const auto writer : backends) {
     for (const auto reader : backends) {
@@ -640,36 +598,6 @@ TEST(RecoveryTest, FlatCompactDirectoryMismatchIsConfigError) {
       EXPECT_EQ(recovered.status().code(),
                 storage::StatusCode::kConfigMismatch);
     }
-  }
-}
-
-// Crash-matrix subset with the compact backend: torn writes are the
-// nastiest plan (partial bytes of a record land), and the compact store
-// section must recover every acknowledged mutation exactly like flat does.
-// A strided subset keeps the sweep cheap; the full matrix runs on flat.
-TEST(CrashMatrixCompact, TornWriteSubsetRecoversExactly) {
-  const FastConfig cfg =
-      small_config(FastConfig::ChsBackend::kCompactFlatCuckoo);
-  const vision::PcaModel pca = test::fake_pca();
-
-  const std::string dry = fresh_dir("compact_matrix_dry");
-  storage::FaultInjectingEnv counter(storage::Env::posix(), {});
-  const std::size_t clean_acked = run_workload(counter, dry, cfg, pca);
-  const std::size_t total_ops = counter.ops_attempted();
-  ASSERT_EQ(clean_acked, crash_script().size());
-
-  for (std::size_t fail_at = 0; fail_at < total_ops; fail_at += 4) {
-    const std::string label = "compact torn fail_at=" + std::to_string(fail_at);
-    const std::string dir =
-        fresh_dir("compact_matrix_" + std::to_string(fail_at));
-    storage::FaultPlan plan;
-    plan.kind = storage::FaultPlan::Kind::kTornWrite;
-    plan.fail_at_op = fail_at;
-    plan.seed = 0xc0ffee ^ fail_at;
-    storage::FaultInjectingEnv env(storage::Env::posix(), plan);
-    const std::size_t acked = run_workload(env, dir, cfg, pca);
-    EXPECT_TRUE(env.crashed()) << label;
-    ASSERT_NO_FATAL_FAILURE(check_recovery(dir, cfg, pca, acked, label));
   }
 }
 
@@ -972,6 +900,234 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(storage::FaultPlan::Kind::kFail,
                       storage::FaultPlan::Kind::kShortWrite,
                       storage::FaultPlan::Kind::kTornWrite));
+
+// ---------------------------------------------------------------------------
+// Hostile snapshots: CRC-valid images whose content lies
+// ---------------------------------------------------------------------------
+
+/// One lie per CHS-core payload, each re-framed with a valid CRC by the
+/// snapshot writer so only the content checks can catch it.
+enum class Lie {
+  kCount,
+  kWindow,
+  kKickBudget,
+  kGroupOutOfRange,
+  kOrphanMember,
+};
+
+std::string lie_name(const ::testing::TestParamInfo<Lie>& info) {
+  switch (info.param) {
+    case Lie::kCount: return "CountLie";
+    case Lie::kWindow: return "WindowLie";
+    case Lie::kKickBudget: return "KickBudgetLie";
+    case Lie::kGroupOutOfRange: return "GroupOutOfRange";
+    case Lie::kOrphanMember: return "OrphanMember";
+  }
+  return "Unknown";
+}
+
+/// Overwrites the little-endian u64 at `at` (the ByteWriter encoding).
+void put_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint64_t v) {
+  ASSERT_LE(at + 8, bytes.size());
+  for (int i = 0; i < 8; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+std::uint64_t get_u64(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+  util::ByteReader in{std::span<const std::uint8_t>(bytes).subspan(at)};
+  return in.u64();
+}
+
+/// Where a GroupIndex payload run lives: the signature count, the group
+/// count and the store, each as (payload, offset).
+struct CorePayloads {
+  std::vector<std::uint8_t>* sigs = nullptr;
+  std::size_t sigs_at = 0;
+  std::vector<std::uint8_t>* groups = nullptr;
+  std::size_t groups_at = 0;
+  std::vector<std::uint8_t>* store = nullptr;
+  std::size_t store_at = 0;
+};
+
+/// Plants `lie` in the core payloads. Store layout (flat cuckoo): u32
+/// tables, then per table u64 seed, u64 n, n x (key, group), and the
+/// table: 10 u64 header fields (capacity, window, max_kicks, ...) followed
+/// by 17-byte slots (key, value, occupied).
+void plant_lie(const CorePayloads& p, Lie lie) {
+  std::vector<std::uint8_t>& store = *p.store;
+  const std::size_t log_entries = get_u64(store, p.store_at + 12);
+  const std::size_t table_at = p.store_at + 20 + log_entries * 16;
+  switch (lie) {
+    case Lie::kCount:
+      put_u64(*p.sigs, p.sigs_at, std::uint64_t{1} << 60);
+      return;
+    case Lie::kWindow:
+      put_u64(store, table_at + 8, std::uint64_t{1} << 20);
+      return;
+    case Lie::kKickBudget:
+      put_u64(store, table_at + 16, std::uint64_t{1} << 40);
+      return;
+    case Lie::kGroupOutOfRange: {
+      const std::size_t capacity = get_u64(store, table_at);
+      for (std::size_t i = 0; i < capacity; ++i) {
+        const std::size_t slot = table_at + 80 + i * 17;
+        if (store[slot + 16] != 0) {
+          put_u64(store, slot + 8, std::uint64_t{1} << 40);
+          return;
+        }
+      }
+      FAIL() << "no occupied slot in table 0";
+    }
+    case Lie::kOrphanMember:
+      ASSERT_GT(get_u64(*p.groups, p.groups_at + 8), 0u) << "group 0 empty";
+      put_u64(*p.groups, p.groups_at + 16, 0xdead0000ULL);
+      return;
+  }
+}
+
+/// Rewrites the newest snapshot in `dir` (at `seq`) through `edit` and
+/// re-publishes it under the same name with fresh CRCs.
+template <typename Edit>
+void rewrite_snapshot(const std::string& dir, std::uint64_t seq,
+                      const Edit& edit) {
+  storage::Env& env = storage::Env::posix();
+  auto read = storage::read_snapshot(
+      env, dir + "/" + storage::snapshot_file_name(seq));
+  ASSERT_TRUE(read.ok()) << read.status().to_string();
+  storage::SnapshotFile snapshot = std::move(read).value();
+  ASSERT_NO_FATAL_FAILURE(edit(snapshot));
+  ASSERT_TRUE(storage::write_snapshot(env, dir, snapshot).ok());
+}
+
+std::vector<std::uint8_t>& section_payload(storage::SnapshotFile& snapshot,
+                                           std::uint32_t id) {
+  for (auto& section : snapshot.sections) {
+    if (section.id == id) return section.payload;
+  }
+  ADD_FAILURE() << "no section " << id;
+  return snapshot.sections.front().payload;
+}
+
+class RecoveryHostileTest : public ::testing::TestWithParam<Lie> {};
+
+// The lie must surface as an undecodable snapshot: recovery falls back to
+// the previous generation and replays the WAL tail to the exact state.
+TEST_P(RecoveryHostileTest, FlatLieFallsBackToOlderSnapshot) {
+  const FastConfig cfg = small_config();
+  const vision::PcaModel pca = test::fake_pca();
+  DurabilityOptions opts;
+  opts.dir = fresh_dir("hostile_flat_" + std::to_string(
+                                             static_cast<int>(GetParam())));
+  FastIndex reference(cfg, pca);
+  std::uint64_t newest_seq = 0;
+  {
+    auto opened = FastIndex::open_or_recover(cfg, pca, opts);
+    ASSERT_TRUE(opened.ok());
+    FastIndex durable = std::move(opened).value();
+    for (std::uint64_t id = 0; id < 16; ++id) {
+      const auto sig = make_signature(id, cfg.bloom_bits);
+      durable.insert_signature(id, sig);
+      reference.insert_signature(id, sig);
+      if (id == 9) {
+        ASSERT_TRUE(durable.save_snapshot().ok());
+      }
+    }
+    ASSERT_TRUE(durable.save_snapshot().ok());
+    newest_seq = durable.last_seq();
+  }
+  rewrite_snapshot(opts.dir, newest_seq, [&](storage::SnapshotFile& snap) {
+    CorePayloads p;
+    p.sigs = &section_payload(snap, storage::kSectionSignatures);
+    p.groups = &section_payload(snap, storage::kSectionGroups);
+    p.store = &section_payload(snap, storage::kSectionStore);
+    plant_lie(p, GetParam());
+  });
+
+  RecoveryStats stats;
+  auto recovered = FastIndex::open_or_recover(cfg, pca, opts, &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
+  EXPECT_EQ(stats.snapshots_skipped, 1u);
+  EXPECT_EQ(stats.snapshot_seq, 10u);
+  EXPECT_EQ(stats.replayed_records, 6u);
+  expect_same_state(recovered.value(), reference);
+}
+
+TEST_P(RecoveryHostileTest, TieredLieFallsBackToOlderSnapshot) {
+  FastConfig cfg = tiered_config();
+  cfg.tier.seal_threshold = 1000;  // every id stays in a memtable section
+  const vision::PcaModel pca = test::fake_pca();
+  DurabilityOptions opts;
+  opts.dir = fresh_dir("hostile_tier_" + std::to_string(
+                                             static_cast<int>(GetParam())));
+  TieredIndex reference(cfg, pca);
+  std::uint64_t newest_seq = 0;
+  {
+    auto opened = TieredIndex::open_or_recover(cfg, pca, opts);
+    ASSERT_TRUE(opened.ok());
+    std::unique_ptr<TieredIndex> durable = std::move(opened).value();
+    for (std::uint64_t id = 0; id < 16; ++id) {
+      const auto sig = make_signature(id, cfg.bloom_bits);
+      durable->insert_signature(id, sig);
+      reference.insert_signature(id, sig);
+      if (id == 9) {
+        ASSERT_TRUE(durable->save_snapshot().ok());
+      }
+    }
+    ASSERT_TRUE(durable->save_snapshot().ok());
+    newest_seq = durable->last_seq();
+  }
+  rewrite_snapshot(opts.dir, newest_seq, [&](storage::SnapshotFile& snap) {
+    // A memtable section: u64 lane, then signatures (each followed by one
+    // cached key per table), tombstones, groups, store.
+    std::vector<std::uint8_t>* mem = nullptr;
+    for (auto& section : snap.sections) {
+      if (section.id == storage::kSectionTierMemtable &&
+          get_u64(section.payload, 8) > 0) {
+        mem = &section.payload;
+        break;
+      }
+    }
+    ASSERT_NE(mem, nullptr) << "no non-empty memtable section";
+    util::ByteReader in{std::span(*mem)};
+    const auto offset = [&] { return mem->size() - in.remaining(); };
+    in.u64();  // lane
+    CorePayloads p;
+    p.sigs = p.groups = p.store = mem;
+    p.sigs_at = offset();
+    const std::uint64_t entries = in.u64();
+    for (std::uint64_t i = 0; i < entries; ++i) {
+      in.u64();
+      in.blob();
+      in.bytes(cfg.minhash.bands * 8);
+    }
+    const std::uint64_t dead = in.u64();
+    in.bytes(dead * 8);
+    p.groups_at = offset();
+    const std::uint64_t groups = in.u64();
+    for (std::uint64_t g = 0; g < groups; ++g) in.bytes(in.u64() * 8);
+    p.store_at = offset();
+    ASSERT_TRUE(in.ok());
+    plant_lie(p, GetParam());
+  });
+
+  RecoveryStats stats;
+  auto recovered = TieredIndex::open_or_recover(cfg, pca, opts, &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
+  EXPECT_EQ(stats.snapshots_skipped, 1u);
+  EXPECT_EQ(stats.snapshot_seq, 10u);
+  EXPECT_EQ(stats.replayed_records, 6u);
+  expect_same_tier_state(*recovered.value(), reference);
+}
+
+INSTANTIATE_TEST_SUITE_P(Lies, RecoveryHostileTest,
+                         ::testing::Values(Lie::kCount, Lie::kWindow,
+                                           Lie::kKickBudget,
+                                           Lie::kGroupOutOfRange,
+                                           Lie::kOrphanMember),
+                         lie_name);
 
 // ---------------------------------------------------------------------------
 // Golden v1 fixture

@@ -168,8 +168,7 @@ TEST_F(TierTest, MetricNamesPerBackendArePinned) {
       "sa.probe_keys_per_query", "snapshot.bytes", "snapshot.write_s",
       "wal.appends", "wal.bytes", "wal.syncs"};
   std::set<std::string> flat = shared;
-  flat.insert({"chs.capacity_slots", "chs.fingerprint_false_hits",
-               "chs.group_creates", "chs.group_hits", "chs.insert_failures",
+  flat.insert({"chs.capacity_slots", "chs.group_creates", "chs.group_hits", "chs.insert_failures",
                "chs.load_factor", "chs.max_kick_chain",
                "chs.occupied_slots", "chs.rehash_events", "chs.store_bytes",
                "chs.total_kicks", "index.groups"});
