@@ -38,8 +38,9 @@ void run(const workload::DatasetSpec& spec, std::size_t queries) {
       std::size_t recall = 0;
       for (const auto& q : env.queries) {
         const auto qs = index->summarize(q.image);
+        const hash::SparseSignature::DenseQuery dense(qs);
         for (std::size_t i = 0; i < sigs.size(); ++i) {
-          const double j = hash::SparseSignature::jaccard(qs, sigs[i]);
+          const double j = dense.jaccard(sigs[i]);
           if (i == q.source) {
             src_j.add(j);
           } else if (env.dataset.photos[i].landmark != q.landmark) {

@@ -90,6 +90,32 @@ void BM_SparseJaccard(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseJaccard)->Arg(256)->Arg(2048);
 
+// The rank step's shape: one query bitset built per 360 candidates (about
+// one search query's candidate list), so the time per iteration is the
+// per-candidate cost including its share of the build.
+void BM_DenseQueryJaccard(benchmark::State& state) {
+  constexpr std::size_t kCandidates = 360;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto q = make_signature(n, 1);
+  std::vector<hash::SparseSignature> candidates;
+  for (std::size_t c = 0; c < kCandidates; ++c) {
+    candidates.push_back(make_signature(n, 2 + c));
+  }
+  for (auto _ : state) {
+    const hash::SparseSignature::DenseQuery dense(q);
+    for (const auto& c : candidates) {
+      benchmark::DoNotOptimize(dense.jaccard(c));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kCandidates));
+  state.counters["s_per_candidate"] = benchmark::Counter(
+      static_cast<double>(kCandidates),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DenseQueryJaccard)->Arg(256)->Arg(2048);
+
 void BM_SparseEncode(benchmark::State& state) {
   const auto sig = make_signature(2048, 3);
   for (auto _ : state) {

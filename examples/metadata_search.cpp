@@ -107,10 +107,10 @@ int main(int argc, char** argv) {
       }
     }
     std::vector<std::pair<double, std::uint64_t>> ranked;
+    const hash::SparseSignature::DenseQuery dense(signatures[qi]);
     for (std::uint64_t id : candidates) {
       if (id == qi) continue;
-      ranked.emplace_back(
-          hash::SparseSignature::jaccard(signatures[qi], signatures[id]), id);
+      ranked.emplace_back(dense.jaccard(signatures[id]), id);
     }
     std::sort(ranked.rbegin(), ranked.rend());
     const double q_s = qt.elapsed_seconds();

@@ -1,7 +1,6 @@
 #include "core/fast_index.hpp"
 
 #include <optional>
-#include <unordered_set>
 
 #include "util/check.hpp"
 #include "util/codec.hpp"
@@ -233,7 +232,7 @@ QueryResult FastIndex::query_signature(const hash::SparseSignature& signature,
   // Collect candidates from the home bucket plus the probe buckets of
   // every table. Each flat-addressed lookup is a fixed bounded slot read;
   // the per-table work items are independent (Fig. 7 parallelism).
-  std::unordered_set<std::uint64_t> candidate_ids;
+  std::vector<std::uint64_t> candidate_ids;
   const auto probe = [&](const QueryKeys& q, QueryResult& result) {
     std::size_t slot_reads_total = 0;
     util::TraceSpan probe_span("chs.probe");
@@ -248,19 +247,21 @@ QueryResult FastIndex::query_signature(const hash::SparseSignature& signature,
       front_.charge_table(result, q.table_hash_s, table_slot_reads);
       slot_reads_total += table_slot_reads;
     }
+    sort_unique(candidate_ids);
     probe_span.attr("bucket_probes", static_cast<double>(result.bucket_probes));
     probe_span.attr("slot_reads", static_cast<double>(slot_reads_total));
     probe_span.attr("candidates", static_cast<double>(candidate_ids.size()));
     return slot_reads_total;
   };
-  // Rank candidates by signature similarity (sparse-domain Jaccard).
+  // Rank candidates by signature similarity: exact Jaccard through one
+  // dense bitset of the query, probed with each candidate's set bits.
   const auto score = [&](QueryResult& result) {
+    const hash::SparseSignature::DenseQuery dense(signature);
     result.hits.reserve(candidate_ids.size());
     for (const std::uint64_t id : candidate_ids) {
       const hash::SparseSignature* stored = core_.signature_of(id);
       FAST_CHECK(stored != nullptr);
-      result.hits.push_back(
-          ScoredId{id, hash::SparseSignature::jaccard(signature, *stored)});
+      result.hits.push_back(ScoredId{id, dense.jaccard(*stored)});
     }
   };
   return front_.query(signature, k, probe, score);

@@ -12,11 +12,11 @@
 // derives them through IndexFront; the memtable caches them per id.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/config.hpp"
@@ -25,6 +25,13 @@
 #include "util/codec.hpp"
 
 namespace fast::core {
+
+/// Sorts collected candidate ids and drops duplicates (an id shares a
+/// group with the query in several tables): the candidate set, in id order.
+inline void sort_unique(std::vector<std::uint64_t>& ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+}
 
 class GroupIndex {
  public:
@@ -83,14 +90,16 @@ class GroupIndex {
   /// signature.
   void remove(std::uint64_t id, std::span<const std::uint64_t> keys);
 
-  /// Probes one (table, key) bucket and unions the group's members into
-  /// `out`. Adds the lookup's modeled slot reads to *slot_reads.
+  /// Probes one (table, key) bucket and appends the group's members to
+  /// `out` (the caller sorts and dedups once, after its last probe). Adds
+  /// the lookup's modeled slot reads to *slot_reads.
   void collect(std::size_t t, std::uint64_t key,
-               std::unordered_set<std::uint64_t>& out,
+               std::vector<std::uint64_t>& out,
                std::size_t* slot_reads) const {
     std::size_t lookup_probes = 0;
     if (const auto group = store_->find(t, key, &lookup_probes)) {
-      for (const std::uint64_t id : groups_[*group]) out.insert(id);
+      const std::vector<std::uint64_t>& members = groups_[*group];
+      out.insert(out.end(), members.begin(), members.end());
     }
     *slot_reads += lookup_probes;
   }

@@ -97,14 +97,14 @@ void IndexFront::calibrate_scale(
   // study). We measure exactly that — each sample query's NN distance in
   // the corpus sample — and choose the LSH input scale that places the
   // median of those distances at calibrate_target * omega. The per-query
-  // scans share no state, so the O(Q*C) sweep fans across the pool.
+  // scans share no state, so the O(Q*C) sweep fans across the pool; each
+  // scan probes one dense bitset of its query.
   std::vector<double> best(sample_queries.size());
   const auto nn_of = [&](std::size_t i) {
+    const hash::SparseSignature::DenseQuery dense(sample_queries[i]);
     double b = std::numeric_limits<double>::infinity();
     for (const auto& c : corpus_sample) {
-      const double d = static_cast<double>(
-          hash::SparseSignature::hamming(sample_queries[i], c));
-      b = std::min(b, d);
+      b = std::min(b, static_cast<double>(dense.hamming(c)));
     }
     best[i] = b;
   };
@@ -218,8 +218,9 @@ IndexFront::QueryClock IndexFront::start_query() const {
 void IndexFront::rank(QueryResult& result, std::size_t k,
                       util::TraceSpan& rank_span) const {
   result.candidates = result.hits.size();
-  // Ranking cost: one sparse-overlap merge per candidate. Each merge is an
-  // independent unit of parallel work (Fig. 7).
+  // Ranking cost: one RAM access per candidate, the paper's platform model
+  // (natively each candidate is a dense-probe overlap count). Each
+  // candidate is an independent unit of parallel work (Fig. 7).
   result.cost.charge_ram(config_.cost.ram_access_s, result.candidates);
   for (std::size_t c = 0; c < result.candidates; ++c) {
     result.parallel_tasks.push_back(config_.cost.ram_access_s);

@@ -82,10 +82,10 @@ class MemtableIndex {
   /// Marks an id that lives in an OLDER layer as erased.
   void add_tombstone(std::uint64_t id) { tombstones_.insert(id); }
 
-  /// Probes one (table, key) bucket and unions the group's members into
+  /// Probes one (table, key) bucket and appends the group's members to
   /// `out`. Adds the modeled slot reads of the lookup to *slot_reads.
   void collect(std::size_t t, std::uint64_t key,
-               std::unordered_set<std::uint64_t>& out,
+               std::vector<std::uint64_t>& out,
                std::size_t* slot_reads) const {
     core_.collect(t, key, out, slot_reads);
   }

@@ -515,6 +515,8 @@ QueryResult TieredIndex::query_signature(const hash::SparseSignature& signature,
                                          std::size_t k) const {
   util::WallTimer wall_timer;
   std::vector<ScoredId> scored;
+  // Every layer's candidates are scored through one dense query bitset.
+  const hash::SparseSignature::DenseQuery dense(signature);
   const auto probe = [&](const QueryKeys& q, QueryResult& result) {
     const std::vector<std::uint64_t>& keys = q.keys;
     const std::vector<std::vector<std::uint64_t>>& probes = q.probes;
@@ -527,8 +529,7 @@ QueryResult TieredIndex::query_signature(const hash::SparseSignature& signature,
       for (const auto& lane_ptr : lanes_) {
         const Lane& lane = *lane_ptr;
         std::shared_ptr<const SegmentList> list;
-        std::vector<std::unordered_set<std::uint64_t>> per_seg;
-        std::unordered_map<std::uint64_t, bool> mem_shadowed;
+        std::vector<std::vector<std::uint64_t>> per_seg;
         {
           std::shared_lock<std::shared_mutex> lk(lane.mem_mutex);
           // Pin the segment list under the memtable lock: seal publishes its
@@ -575,9 +576,9 @@ QueryResult TieredIndex::query_signature(const hash::SparseSignature& signature,
           }
 
           // 2) Memtable: probe, score (the signature map can rehash under
-          //    writers, so scoring stays inside the lock), and take the
-          //    shadow decisions segment candidates need.
-          std::unordered_set<std::uint64_t> mem_ids;
+          //    writers, so scoring stays inside the lock), and drop the
+          //    segment candidates the memtable shadows.
+          std::vector<std::uint64_t> mem_ids;
           for (std::size_t t = 0; t < keys.size(); ++t) {
             ++result.bucket_probes;
             lane.mem->collect(t, keys[t], mem_ids, &table_slot_reads[t]);
@@ -586,17 +587,16 @@ QueryResult TieredIndex::query_signature(const hash::SparseSignature& signature,
               lane.mem->collect(t, pk, mem_ids, &table_slot_reads[t]);
             }
           }
+          sort_unique(mem_ids);
           for (const std::uint64_t id : mem_ids) {
-            scored.push_back(ScoredId{
-                id, hash::SparseSignature::jaccard(
-                        signature, *lane.mem->signature_of(id))});
+            scored.push_back(
+                ScoredId{id, dense.jaccard(*lane.mem->signature_of(id))});
           }
-          for (const auto& ids : per_seg) {
-            for (const std::uint64_t id : ids) {
-              if (mem_shadowed.find(id) == mem_shadowed.end()) {
-                mem_shadowed.emplace(id, lane.mem->shadows(id));
-              }
-            }
+          for (auto& ids : per_seg) {
+            sort_unique(ids);
+            std::erase_if(ids, [&](std::uint64_t id) {
+              return lane.mem->shadows(id);
+            });
           }
         }
 
@@ -605,15 +605,13 @@ QueryResult TieredIndex::query_signature(const hash::SparseSignature& signature,
         //    tombstoned ids and stale duplicates in one rule).
         for (std::size_t si = 0; si < per_seg.size(); ++si) {
           for (const std::uint64_t id : per_seg[si]) {
-            if (mem_shadowed[id]) continue;
             bool shadowed = false;
             for (std::size_t sj = 0; sj < si && !shadowed; ++sj) {
               shadowed = (*list)[sj]->shadows(id);
             }
             if (shadowed) continue;
-            scored.push_back(ScoredId{
-                id, hash::SparseSignature::jaccard(
-                        signature, *(*list)[si]->signature_of(id))});
+            scored.push_back(
+                ScoredId{id, dense.jaccard(*(*list)[si]->signature_of(id))});
           }
         }
       }

@@ -30,37 +30,51 @@ SparseSignature::SparseSignature(std::vector<std::uint32_t> set_bits,
   FAST_CHECK(bits_.empty() || bits_.back() < bit_count_);
 }
 
-std::size_t SparseSignature::overlap(const SparseSignature& a,
-                                     const SparseSignature& b) noexcept {
-  std::size_t n = 0;
-  auto ia = a.bits_.begin();
-  auto ib = b.bits_.begin();
-  while (ia != a.bits_.end() && ib != b.bits_.end()) {
-    if (*ia < *ib) {
-      ++ia;
-    } else if (*ib < *ia) {
-      ++ib;
-    } else {
-      ++n;
-      ++ia;
-      ++ib;
-    }
+SparseSignature::DenseQuery::DenseQuery(const SparseSignature& query)
+    : bit_count_(query.bit_count_),
+      popcount_(query.bits_.size()),
+      words_((static_cast<std::size_t>(query.bit_count_) + 63) / 64, 0) {
+  for (const std::uint32_t b : query.bits_) {
+    words_[b >> 6] |= std::uint64_t{1} << (b & 63);
   }
+}
+
+std::size_t SparseSignature::DenseQuery::overlap(
+    const SparseSignature& candidate) const noexcept {
+  const std::uint32_t* it = candidate.bits_.data();
+  const std::uint32_t* end = it + candidate.bits_.size();
+  // Set bits are sorted and below the candidate's own width, so only a
+  // wider candidate can hold bits past the query's: cut them off once.
+  if (candidate.bit_count_ > bit_count_) {
+    end = std::lower_bound(it, end, bit_count_);
+  }
+  const std::uint64_t* words = words_.data();
+  std::size_t n = 0;
+  for (; it != end; ++it) n += (words[*it >> 6] >> (*it & 63)) & 1;
   return n;
 }
 
+double SparseSignature::DenseQuery::jaccard(
+    const SparseSignature& candidate) const noexcept {
+  const std::size_t common = overlap(candidate);
+  const std::size_t uni = popcount_ + candidate.popcount() - common;
+  if (uni == 0) return 1.0;
+  return static_cast<double>(common) / static_cast<double>(uni);
+}
+
+std::size_t SparseSignature::overlap(const SparseSignature& a,
+                                     const SparseSignature& b) {
+  return DenseQuery(a).overlap(b);
+}
+
 std::size_t SparseSignature::hamming(const SparseSignature& a,
-                                     const SparseSignature& b) noexcept {
-  const std::size_t common = overlap(a, b);
-  return a.bits_.size() + b.bits_.size() - 2 * common;
+                                     const SparseSignature& b) {
+  return DenseQuery(a).hamming(b);
 }
 
 double SparseSignature::jaccard(const SparseSignature& a,
-                                const SparseSignature& b) noexcept {
-  const std::size_t common = overlap(a, b);
-  const std::size_t uni = a.bits_.size() + b.bits_.size() - common;
-  if (uni == 0) return 1.0;
-  return static_cast<double>(common) / static_cast<double>(uni);
+                                const SparseSignature& b) {
+  return DenseQuery(a).jaccard(b);
 }
 
 namespace {

@@ -2,9 +2,13 @@
 //
 // This is the paper's headline space saving — "the space required by its
 // features can be reduced from the original 200KB to 40B" — achieved by
-// keeping just the non-zero bit positions of the per-image summary. The
-// signature supports Hamming/overlap computations directly in the sparse
-// domain, so dense vectors never need materializing on the query path.
+// keeping just the non-zero bit positions of the per-image summary.
+//
+// Similarity has one kernel, DenseQuery: the query's set bits are
+// materialized once per query as a dense bitset, and each candidate's set
+// bits probe it (the bitmap-probe scheme of Jafari et al.). A dense vector
+// is built once per query, never per candidate, and stored signatures stay
+// sparse.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +21,8 @@ namespace fast::hash {
 
 class SparseSignature {
  public:
+  class DenseQuery;
+
   SparseSignature() = default;
 
   /// Extracts the sorted set-bit positions of `filter`.
@@ -41,17 +47,19 @@ class SparseSignature {
   /// Serialized size in bytes (what the index actually stores per image).
   std::size_t storage_bytes() const noexcept;
 
+  // One-off pair measures: each builds a DenseQuery over `a`. Code that
+  // compares one signature against many builds the DenseQuery itself.
+
   /// |A ∩ B|: number of bit positions set in both signatures.
   static std::size_t overlap(const SparseSignature& a,
-                             const SparseSignature& b) noexcept;
+                             const SparseSignature& b);
 
   /// Hamming distance = |A| + |B| - 2 |A ∩ B|.
   static std::size_t hamming(const SparseSignature& a,
-                             const SparseSignature& b) noexcept;
+                             const SparseSignature& b);
 
   /// Jaccard similarity |A ∩ B| / |A ∪ B| (1.0 for two empty signatures).
-  static double jaccard(const SparseSignature& a,
-                        const SparseSignature& b) noexcept;
+  static double jaccard(const SparseSignature& a, const SparseSignature& b);
 
   /// Reconstructs the dense {0,1} float vector. The p-stable SA path no
   /// longer needs this (PStableLsh::bucket_coords_sparse projects straight
@@ -61,6 +69,33 @@ class SparseSignature {
  private:
   std::uint32_t bit_count_ = 0;
   std::vector<std::uint32_t> bits_;  // sorted ascending, unique
+};
+
+/// The overlap kernel. Built once per query: ceil(bit_count/64) words with
+/// the query's set bits set (2 KB at the default 16384-bit width). Each
+/// candidate then costs one bit test per candidate set bit — branch-free
+/// and exact, so overlap, hamming and jaccard are the same integers and
+/// doubles a sorted merge of the two bit lists would give.
+class SparseSignature::DenseQuery {
+ public:
+  explicit DenseQuery(const SparseSignature& query);
+
+  /// |Q ∩ C|. A candidate bit at or past the query's width is a miss (it
+  /// cannot be set in the query) and is never read out of range.
+  std::size_t overlap(const SparseSignature& candidate) const noexcept;
+
+  /// |Q| + |C| - 2 |Q ∩ C|.
+  std::size_t hamming(const SparseSignature& candidate) const noexcept {
+    return popcount_ + candidate.popcount() - 2 * overlap(candidate);
+  }
+
+  /// |Q ∩ C| / |Q ∪ C| in double (1.0 for two empty signatures).
+  double jaccard(const SparseSignature& candidate) const noexcept;
+
+ private:
+  std::uint32_t bit_count_;
+  std::size_t popcount_;
+  std::vector<std::uint64_t> words_;
 };
 
 }  // namespace fast::hash

@@ -262,6 +262,121 @@ TEST(SparseSignature, EmptyPairJaccardIsOne) {
   EXPECT_EQ(SparseSignature::jaccard(a, b), 1.0);
 }
 
+// The sorted two-list merge the dense-probe kernel replaced, kept as the
+// reference the kernel must reproduce exactly.
+std::size_t merge_overlap(const SparseSignature& a, const SparseSignature& b) {
+  std::size_t n = 0;
+  auto ia = a.set_bits().begin();
+  auto ib = b.set_bits().begin();
+  while (ia != a.set_bits().end() && ib != b.set_bits().end()) {
+    if (*ia < *ib) {
+      ++ia;
+    } else if (*ib < *ia) {
+      ++ib;
+    } else {
+      ++n;
+      ++ia;
+      ++ib;
+    }
+  }
+  return n;
+}
+
+double merge_jaccard(const SparseSignature& a, const SparseSignature& b) {
+  const std::size_t common = merge_overlap(a, b);
+  const std::size_t uni = a.popcount() + b.popcount() - common;
+  if (uni == 0) return 1.0;
+  return static_cast<double>(common) / static_cast<double>(uni);
+}
+
+/// Each of `width` bits set with probability `density`.
+SparseSignature random_signature(std::uint32_t width, double density,
+                                 util::Rng& rng) {
+  std::vector<std::uint32_t> bits;
+  for (std::uint32_t b = 0; b < width; ++b) {
+    if (rng.bernoulli(density)) bits.push_back(b);
+  }
+  return SparseSignature(std::move(bits), width);
+}
+
+/// Kernel (reused DenseQuery and the static wrappers) against the merge.
+void expect_matches_merge(const SparseSignature::DenseQuery& dense,
+                          const SparseSignature& q, const SparseSignature& c) {
+  const std::size_t common = merge_overlap(q, c);
+  EXPECT_EQ(dense.overlap(c), common);
+  EXPECT_EQ(dense.hamming(c), q.popcount() + c.popcount() - 2 * common);
+  EXPECT_EQ(dense.jaccard(c), merge_jaccard(q, c));
+  EXPECT_EQ(SparseSignature::overlap(q, c), common);
+  EXPECT_EQ(SparseSignature::overlap(c, q), common);
+  EXPECT_EQ(SparseSignature::hamming(q, c),
+            q.popcount() + c.popcount() - 2 * common);
+  EXPECT_EQ(SparseSignature::jaccard(q, c), merge_jaccard(q, c));
+  EXPECT_EQ(SparseSignature::jaccard(c, q), merge_jaccard(c, q));
+}
+
+TEST(SparseSignature, DenseQueryMatchesMerge) {
+  util::Rng rng(0xd3e5);
+  const std::vector<double> densities = {0.0, 0.01, 0.1, 0.3, 0.5, 0.9, 1.0};
+  // 100 is not a multiple of 64 (a partial last word); 16384 is the
+  // default summary width.
+  for (const std::uint32_t width : {1u, 64u, 100u, 1024u, 16384u}) {
+    for (const double qd : densities) {
+      const SparseSignature q = random_signature(width, qd, rng);
+      // One DenseQuery reused across every candidate of this query.
+      const SparseSignature::DenseQuery dense(q);
+      for (const double cd : densities) {
+        for (int rep = 0; rep < 3; ++rep) {
+          expect_matches_merge(dense, q, random_signature(width, cd, rng));
+        }
+      }
+      // The edge bits 0 and width-1, alone and together.
+      expect_matches_merge(dense, q, SparseSignature({0}, width));
+      expect_matches_merge(dense, q, SparseSignature({width - 1}, width));
+      if (width > 1) {
+        expect_matches_merge(dense, q, SparseSignature({0, width - 1}, width));
+      }
+    }
+  }
+}
+
+TEST(SparseSignature, DenseQueryEdgeCases) {
+  std::vector<std::uint32_t> all(100);
+  for (std::uint32_t b = 0; b < 100; ++b) all[b] = b;
+  const SparseSignature empty({}, 100);
+  const SparseSignature full(all, 100);
+
+  const SparseSignature::DenseQuery dense_empty(empty);
+  expect_matches_merge(dense_empty, empty, empty);
+  EXPECT_EQ(dense_empty.jaccard(empty), 1.0);
+  expect_matches_merge(dense_empty, empty, full);
+  EXPECT_EQ(dense_empty.jaccard(full), 0.0);
+  EXPECT_EQ(dense_empty.hamming(full), 100u);
+
+  const SparseSignature::DenseQuery dense_full(full);
+  expect_matches_merge(dense_full, full, empty);
+  expect_matches_merge(dense_full, full, full);
+  EXPECT_EQ(dense_full.overlap(full), 100u);
+  EXPECT_EQ(dense_full.jaccard(full), 1.0);
+
+  // A default-constructed (width 0) signature has no words at all.
+  const SparseSignature none;
+  const SparseSignature::DenseQuery dense_none(none);
+  expect_matches_merge(dense_none, none, none);
+  expect_matches_merge(dense_none, none, full);
+
+  // A candidate wider than the query: its bits past the query's width are
+  // misses, read nowhere.
+  util::Rng rng(0x71de);
+  for (int rep = 0; rep < 20; ++rep) {
+    const SparseSignature narrow = random_signature(100, 0.5, rng);
+    const SparseSignature wide = random_signature(16384, 0.5, rng);
+    const SparseSignature::DenseQuery dense(narrow);
+    expect_matches_merge(dense, narrow, wide);
+    expect_matches_merge(dense, narrow,
+                         SparseSignature({99, 100, 16383}, 16384));
+  }
+}
+
 TEST(SparseSignature, StorageBytesTracksPopcount) {
   const SparseSignature small({1}, 1024);
   const SparseSignature big({1, 2, 3, 4, 5, 6, 7, 8}, 1024);

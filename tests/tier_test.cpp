@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -133,6 +134,172 @@ TEST_F(TierTest, MatchesFlatIndexExactly) {
     const QueryResult a = tiered.query(photo.image, 10);
     const QueryResult b = flat.query(photo.image, 10);
     expect_same_hits(a, b);
+  }
+}
+
+/// FE/SM-shaped signatures at the default 16384-bit width: 1860 set bits,
+/// drawn around `clusters` random centers. A member keeps 60% of its
+/// center's bits and refills uniformly to the same popcount (a
+/// near-duplicate shot of one scene), so candidate lists mix near and far
+/// neighbours and produce score ties.
+std::vector<hash::SparseSignature> clustered_signatures(std::size_t n,
+                                                        std::size_t clusters,
+                                                        std::uint64_t seed) {
+  constexpr std::uint32_t kBits = 16384;
+  constexpr std::size_t kSetBits = 1860;
+  util::Rng rng(seed);
+  const auto fill = [&](std::vector<bool> set, std::size_t placed) {
+    while (placed < kSetBits) {
+      const auto b = static_cast<std::uint32_t>(rng.uniform_u64(kBits));
+      if (!set[b]) {
+        set[b] = true;
+        ++placed;
+      }
+    }
+    std::vector<std::uint32_t> bits;
+    for (std::uint32_t b = 0; b < kBits; ++b) {
+      if (set[b]) bits.push_back(b);
+    }
+    return hash::SparseSignature(std::move(bits), kBits);
+  };
+  std::vector<hash::SparseSignature> centers;
+  for (std::size_t c = 0; c < clusters; ++c) {
+    centers.push_back(fill(std::vector<bool>(kBits, false), 0));
+  }
+  std::vector<hash::SparseSignature> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<bool> set(kBits, false);
+    std::size_t placed = 0;
+    for (const std::uint32_t b : centers[i % clusters].set_bits()) {
+      if (rng.bernoulli(0.6)) {
+        set[b] = true;
+        ++placed;
+      }
+    }
+    out.push_back(fill(std::move(set), placed));
+  }
+  return out;
+}
+
+/// Every candidate a query inspects, ranked by brute force: each id scored
+/// with the static Jaccard against its live signature, then ordered score
+/// descending, id ascending.
+std::vector<ScoredId> brute_force_ranking(
+    const hash::SparseSignature& query, const std::vector<ScoredId>& hits,
+    const std::map<std::uint64_t, hash::SparseSignature>& live) {
+  std::vector<ScoredId> ranked;
+  for (const ScoredId& hit : hits) {
+    ranked.push_back(
+        {hit.id, hash::SparseSignature::jaccard(query, live.at(hit.id))});
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const ScoredId& a, const ScoredId& b) {
+              return a.score != b.score ? a.score > b.score : a.id < b.id;
+            });
+  return ranked;
+}
+
+/// Same candidate count and bitwise-identical ranked hits.
+void expect_same_ranking(const QueryResult& a, const QueryResult& b) {
+  EXPECT_EQ(a.candidates, b.candidates);
+  ASSERT_EQ(a.hits.size(), b.hits.size());
+  for (std::size_t h = 0; h < a.hits.size(); ++h) {
+    EXPECT_EQ(a.hits[h].id, b.hits[h].id) << "hit " << h;
+    EXPECT_EQ(a.hits[h].score, b.hits[h].score) << "hit " << h;
+  }
+}
+
+// Ranking is exact on both backends: every score is bitwise the static
+// Jaccard of the query and the id's live signature, and the hits are the
+// brute-force top k of the candidate set. Erases and re-inserts with new
+// content leave stale versions in sealed segments that must never score.
+TEST_F(TierTest, RankScoresAreExactJaccard) {
+  constexpr std::size_t kCorpus = 64;
+  constexpr std::size_t kTopK = 10;
+  const std::vector<hash::SparseSignature> corpus =
+      clustered_signatures(kCorpus + 16, 6, 0x5eed16);
+  TieredIndex tiered(tiered_config(), *pca_);
+  FastIndex flat(flat_config(), *pca_);
+  std::map<std::uint64_t, hash::SparseSignature> live;
+  const auto put = [&](std::uint64_t id, const hash::SparseSignature& sig) {
+    tiered.insert_signature(id, sig);
+    flat.insert_signature(id, sig);
+    live.insert_or_assign(id, sig);
+  };
+  for (std::size_t i = 0; i < kCorpus; ++i) put(i, corpus[i]);
+  for (std::size_t i = 0; i < kCorpus; i += 5) {
+    EXPECT_TRUE(tiered.erase(i));
+    EXPECT_TRUE(flat.erase(i));
+    live.erase(i);
+  }
+  // Erased ids come back with another shot's content; some live ids are
+  // overwritten in place.
+  for (std::size_t i = 0; i < kCorpus; i += 10) {
+    put(i, corpus[kCorpus + i / 10]);
+  }
+  for (std::size_t i = 3; i < kCorpus; i += 11) {
+    put(i, corpus[(i + 7) % kCorpus]);
+  }
+  ASSERT_EQ(tiered.size(), live.size());
+  ASSERT_EQ(flat.size(), live.size());
+  ASSERT_GE(tiered.segment_count(), 1u);
+
+  // Stored shots, replaced shots and unseen shots of the same scenes.
+  std::vector<hash::SparseSignature> queries;
+  for (std::size_t i = 0; i < corpus.size(); i += 3) {
+    queries.push_back(corpus[i]);
+  }
+
+  std::vector<QueryResult> flat_top, tiered_top;
+  std::size_t deep_queries = 0;  // more candidates than the top k keeps
+  for (const hash::SparseSignature& q : queries) {
+    const QueryResult flat_all = flat.query_signature(q, kCorpus);
+    const QueryResult tiered_all = tiered.query_signature(q, kCorpus);
+    for (const QueryResult* all : {&flat_all, &tiered_all}) {
+      // k covers the corpus, so the hits are the whole candidate set.
+      ASSERT_EQ(all->hits.size(), all->candidates);
+      const std::vector<ScoredId> truth =
+          brute_force_ranking(q, all->hits, live);
+      ASSERT_EQ(all->hits.size(), truth.size());
+      for (std::size_t h = 0; h < truth.size(); ++h) {
+        EXPECT_EQ(all->hits[h].id, truth[h].id) << "rank " << h;
+        EXPECT_EQ(all->hits[h].score, truth[h].score) << "rank " << h;
+      }
+    }
+    // Both layouts inspect the same candidate set (the tier probes more
+    // buckets: one set per layer).
+    expect_same_ranking(tiered_all, flat_all);
+    if (flat_all.candidates > kTopK) ++deep_queries;
+
+    flat_top.push_back(flat.query_signature(q, kTopK));
+    tiered_top.push_back(tiered.query_signature(q, kTopK));
+    for (const QueryResult* top : {&flat_top.back(), &tiered_top.back()}) {
+      EXPECT_EQ(top->candidates, flat_all.candidates);
+      ASSERT_EQ(top->hits.size(), std::min(kTopK, flat_all.hits.size()));
+      for (std::size_t h = 0; h < top->hits.size(); ++h) {
+        EXPECT_EQ(top->hits[h].id, flat_all.hits[h].id) << "rank " << h;
+        EXPECT_EQ(top->hits[h].score, flat_all.hits[h].score) << "rank " << h;
+      }
+    }
+  }
+
+  EXPECT_GE(deep_queries, queries.size() / 2);
+
+  // Concurrent queries through a pool answer exactly as sequential ones.
+  BatchOptions options;
+  options.top_k = kTopK;
+  QueryEngine flat_engine(flat, 3);
+  QueryEngine tiered_engine(tiered, 3);
+  const BatchReport flat_batch = flat_engine.run_batch(queries, options);
+  const BatchReport tiered_batch = tiered_engine.run_batch(queries, options);
+  ASSERT_EQ(flat_batch.results.size(), queries.size());
+  ASSERT_EQ(tiered_batch.results.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    expect_same_ranking(flat_batch.results[i], flat_top[i]);
+    expect_same_ranking(tiered_batch.results[i], tiered_top[i]);
+    EXPECT_EQ(flat_batch.results[i].bucket_probes, flat_top[i].bucket_probes);
+    EXPECT_EQ(tiered_batch.results[i].bucket_probes,
+              tiered_top[i].bucket_probes);
   }
 }
 
